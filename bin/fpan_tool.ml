@@ -234,8 +234,7 @@ let fuzz_cmd =
 (* ------------------------------------------------------------------ *)
 (* bench-sched: worker-count scaling curve of the work-stealing tiled
    GEMM engine (lib/runtime), with execution telemetry and bitwise
-   determinism checks against the sequential batched kernel and the
-   legacy Parallel.Pool row-parallel path. *)
+   determinism checks against the sequential batched kernel. *)
 
 let bench_sched_run n terms workers_csv reps tile sweep obs out =
   drain_on_signal ();
@@ -281,7 +280,7 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
   let t_seq, ref_c = time_gemm (fun c -> K.gemm ~m:n ~n ~k:n ~a ~b ~c) in
   Printf.printf "  sequential batched kernel: %.4f s  (%.4f Gop/s)\n" t_seq (gops t_seq);
   let mismatches = ref 0 in
-  let module J = Check.Json_out in
+  let module J = Obs.Json_out in
   if obs then begin
     Obs.Trace.set_enabled true;
     Obs.Trace.clear ();
@@ -297,17 +296,12 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
             let stats = Runtime.Sched.stats rt in
             let bitwise = c_rt = ref_c in
             if not bitwise then incr mismatches;
-            let t_pool, c_pool =
-              Parallel.Pool.with_pool ~domains:w (fun pool ->
-                  time_gemm (fun c -> K.gemm_pool pool ~m:n ~n ~k:n ~a ~b ~c))
-            in
-            if c_pool <> ref_c then incr mismatches;
             let steals = Array.fold_left (fun acc s -> acc + s.Runtime.Sched.steals) 0 stats in
             Printf.printf
-              "  %2d worker%s: runtime %.4f s (%.4f Gop/s, %.2fx vs seq, %d steals)  pool %.4f s  bitwise %s\n"
+              "  %2d worker%s: runtime %.4f s (%.4f Gop/s, %.2fx vs seq, %d steals)  bitwise %s\n"
               w
               (if w = 1 then " " else "s")
-              t_rt (gops t_rt) (t_seq /. t_rt) steals t_pool
+              t_rt (gops t_rt) (t_seq /. t_rt) steals
               (if bitwise then "ok" else "MISMATCH");
             let telemetry = Runtime.Sched.stats_json stats in
             last_sched := Some telemetry;
@@ -316,8 +310,6 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
                 ("runtime_wall_s", J.Num t_rt);
                 ("runtime_gops", J.Num (gops t_rt));
                 ("speedup_vs_seq", J.Num (t_seq /. t_rt));
-                ("pool_wall_s", J.Num t_pool);
-                ("pool_gops", J.Num (gops t_pool));
                 ("bitwise_equal_seq", J.Bool bitwise);
                 ("telemetry", telemetry) ]))
       workers
@@ -368,7 +360,7 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
   in
   let json =
     J.Obj
-      ([ ("schema", J.Str "fpan-bench-sched/1");
+      ([ ("schema", J.Str "fpan-bench-sched/2");
          ("kernel", J.Str "GEMM");
          ("bits", J.Num (Float.of_int B.bits));
          ("n", J.Num (Float.of_int n));
@@ -457,7 +449,7 @@ let bench_sched_cmd =
 
 let trace_run workload n terms workers reps out_prefix =
   drain_on_signal ();
-  let module J = Check.Json_out in
+  let module J = Obs.Json_out in
   (* One execution of the workload: wall seconds plus the per-worker
      telemetry when a scheduler was involved. *)
   let execute =
@@ -677,7 +669,7 @@ let serve_run endpoint workers queue max_batch window_us shards cache max_conns 
         wait ();
         print_endline "fpan_tool serve: draining";
         Serve.Server.stop srv;
-        print_endline (Check.Json_out.to_string (Serve.Server.stats_doc srv)))
+        print_endline (Obs.Json_out.to_string (Serve.Server.stats_doc srv)))
 
 let serve_cmd =
   let doc =
@@ -979,7 +971,7 @@ let lg_percentiles lats =
   let a = Array.of_list lats in
   Array.sort compare a;
   let n = Array.length a in
-  let module J = Check.Json_out in
+  let module J = Obs.Json_out in
   let pct p =
     if n = 0 then J.Null
     else J.Num a.(min (n - 1) (int_of_float ((p *. Float.of_int (n - 1)) +. 0.5)))
@@ -1070,7 +1062,7 @@ let lg_canary ~sockaddr ~slas ~ops ~tiers ~pipeline =
 
 let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_csv
     slas_csv configs_csv shards_csv cache out =
-  let module J = Check.Json_out in
+  let module J = Obs.Json_out in
   drain_on_signal ();
   let split s = String.split_on_char ',' s |> List.filter (fun p -> String.trim p <> "") in
   let slas =
@@ -1640,7 +1632,7 @@ let chaos_admission_scenario ~seed ~requests (_s : Chaos.Plan.scenario) =
   }
 
 let chaos_run seed shards requests scenarios_csv out =
-  let module J = Check.Json_out in
+  let module J = Obs.Json_out in
   if shards < 1 then begin
     prerr_endline "chaos: --shards must be >= 1";
     exit 2
@@ -1856,7 +1848,7 @@ let ad_best_of reps f =
   !best
 
 let adaptive_run cases n ops_csv slas_csv reps fuzz_cases seed out =
-  let module J = Check.Json_out in
+  let module J = Obs.Json_out in
   let split s = String.split_on_char ',' s |> List.filter (fun p -> String.trim p <> "") in
   let ops = List.map ad_op_of_name (split ops_csv) in
   let slas =
@@ -2075,7 +2067,7 @@ struct
     (!best, Option.get !result)
 
   let run ~n ~nref ~reps ~workers ~out =
-    let module J = Check.Json_out in
+    let module J = Obs.Json_out in
     let rng = Random.State.make [| 0xf05e; n; Vb.terms |] in
     let rand_vec len =
       Vb.of_floats (Array.init len (fun _ -> Random.State.float rng 2.0 -. 1.0))

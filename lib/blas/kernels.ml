@@ -39,40 +39,6 @@ module Make (N : Numeric.S) = struct
       done
     done
 
-  let axpy_pool pool ~alpha ~x ~y =
-    let n = Array.length x in
-    assert (Array.length y = n);
-    Parallel.Pool.parallel_for pool ~lo:0 ~hi:n (fun i -> y.(i) <- N.add (N.mul alpha x.(i)) y.(i))
-
-  let dot_pool pool ~x ~y =
-    let n = Array.length x in
-    assert (Array.length y = n);
-    Parallel.Pool.parallel_reduce pool ~lo:0 ~hi:n ~init:N.zero
-      ~map:(fun i -> N.mul x.(i) y.(i))
-      ~combine:N.add
-
-  let gemv_pool pool ~m ~n ~a ~x ~y =
-    assert (Array.length a = m * n && Array.length x = n && Array.length y = m);
-    Parallel.Pool.parallel_for pool ~lo:0 ~hi:m (fun i ->
-        let acc = ref N.zero in
-        let row = i * n in
-        for j = 0 to n - 1 do
-          acc := N.add !acc (N.mul a.(row + j) x.(j))
-        done;
-        y.(i) <- !acc)
-
-  let gemm_pool pool ~m ~n ~k ~a ~b ~c =
-    assert (Array.length a = m * k && Array.length b = k * n && Array.length c = m * n);
-    Parallel.Pool.parallel_for pool ~lo:0 ~hi:m (fun i ->
-        let crow = i * n in
-        for p = 0 to k - 1 do
-          let aip = a.((i * k) + p) in
-          let brow = p * n in
-          for j = 0 to n - 1 do
-            c.(crow + j) <- N.add c.(crow + j) (N.mul aip b.(brow + j))
-          done
-        done)
-
   let vec_of_floats fs = Array.map N.of_float fs
   let vec_to_floats vs = Array.map N.to_float vs
 end
@@ -80,10 +46,7 @@ end
 (* Batched kernels over a planar (structure-of-arrays) vector type.
    Same kernels, same op-count convention, same accumulation orders as
    [Make] — the per-element arithmetic is identical, so sequential
-   results are bitwise equal to the scalar path, and the pooled
-   variants reproduce the scalar pooled chunking/combination order
-   bit-for-bit (Pool.chunk_ranges is the same partition parallel_for
-   and parallel_reduce use). *)
+   results are bitwise equal to the scalar path. *)
 module Make_batched (N : Numeric.BATCHED) = struct
   module V = N.V
 
@@ -127,52 +90,12 @@ module Make_batched (N : Numeric.BATCHED) = struct
       V.set r i (V.dot_sub ~b:(V.get b i) ~x:a ~xoff:(i * n) ~y:x ~yoff:0 ~len:n)
     done
 
-  (* Pooled variants: chunk over contiguous planar ranges.  Writes land
-     on disjoint ranges/rows; the dot reduction combines chunk partials
-     in index order (deterministic, independent of scheduling). *)
-
-  let ranges pool ~lo ~hi =
-    Array.of_list (Parallel.Pool.chunk_ranges ~lo ~hi ~parts:(Parallel.Pool.size pool))
-
-  let axpy_pool pool ~alpha ~x ~y =
-    let n = V.length x in
-    assert (V.length y = n);
-    let rs = ranges pool ~lo:0 ~hi:n in
-    Parallel.Pool.parallel_for pool ~lo:0 ~hi:(Array.length rs) (fun pi ->
-        let lo, hi = rs.(pi) in
-        V.axpy ~lo ~hi ~alpha ~x ~y)
-
-  let dot_pool pool ~x ~y =
-    let n = V.length x in
-    assert (V.length y = n);
-    let rs = ranges pool ~lo:0 ~hi:n in
-    let partials = Array.make (max 1 (Array.length rs)) N.zero in
-    Parallel.Pool.parallel_for pool ~lo:0 ~hi:(Array.length rs) (fun pi ->
-        let lo, hi = rs.(pi) in
-        partials.(pi) <- V.dot ~init:N.zero ~x ~xoff:lo ~y ~yoff:lo ~len:(hi - lo));
-    Array.fold_left N.add N.zero partials
-
-  let gemv_pool pool ~m ~n ~a ~x ~y =
-    assert (V.length a = m * n && V.length x = n && V.length y = m);
-    Parallel.Pool.parallel_for pool ~lo:0 ~hi:m (fun i ->
-        V.set y i (V.dot ~init:N.zero ~x:a ~xoff:(i * n) ~y:x ~yoff:0 ~len:n))
-
-  let gemm_pool pool ~m ~n ~k ~a ~b ~c =
-    assert (V.length a = m * k && V.length b = k * n && V.length c = m * n);
-    Parallel.Pool.parallel_for pool ~lo:0 ~hi:m (fun i ->
-        for p = 0 to k - 1 do
-          let aip = V.get a ((i * k) + p) in
-          V.madd ~alpha:aip ~x:b ~xoff:(p * n) ~y:c ~yoff:(i * n) ~len:n
-        done)
-
   (* Runtime variants: the work-stealing scheduler + tiled engine
      (lib/runtime).  GEMV/GEMM/AXPY are bitwise equal to the
      sequential kernels above at any worker count and tile size; DOT
      uses the engine's fixed-shape reduction tree (deterministic
      across worker counts, grouped differently from the sequential
-     fold).  This is the production parallel path; the [_pool]
-     variants above are kept as the ablation baseline (bench mode
-     [ablation-sched]). *)
+     fold). *)
 
   module Rt = Runtime.Engine.Make (N) (V)
 

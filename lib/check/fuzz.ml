@@ -184,47 +184,49 @@ let self_test () =
 
 (* --- report --------------------------------------------------------- *)
 
+module J = Obs.Json_out
+
 let hex v = Printf.sprintf "%h" v
 
 let json_operands inputs =
-  Json_out.List
+  J.List
     (Array.to_list
        (Array.map
-          (fun o -> Json_out.List (Array.to_list (Array.map (fun v -> Json_out.Str (hex v)) o)))
+          (fun o -> J.List (Array.to_list (Array.map (fun v -> J.Str (hex v)) o)))
           inputs))
 
 let json_of_failure f =
-  Json_out.Obj
-    [ ("impl", Json_out.Str f.finding.Differ.impl);
-      ("op", Json_out.Str (Corpus.op_name f.finding.Differ.op));
-      ("class", Json_out.Str (Corpus.cls_name f.finding.Differ.cls));
-      ("kind", Json_out.Str (Differ.kind_name f.finding.Differ.kind));
-      ("ulps", Json_out.Num f.finding.Differ.ulps);
+  J.Obj
+    [ ("impl", J.Str f.finding.Differ.impl);
+      ("op", J.Str (Corpus.op_name f.finding.Differ.op));
+      ("class", J.Str (Corpus.cls_name f.finding.Differ.cls));
+      ("kind", J.Str (Differ.kind_name f.finding.Differ.kind));
+      ("ulps", J.Num f.finding.Differ.ulps);
       ("inputs", json_operands f.finding.Differ.inputs);
-      ("got", Json_out.List (Array.to_list (Array.map (fun v -> Json_out.Str (hex v)) f.finding.Differ.got)));
+      ("got", J.List (Array.to_list (Array.map (fun v -> J.Str (hex v)) f.finding.Differ.got)));
       ("shrunk", json_operands f.shrunk);
-      ("shrunk_terms", Json_out.Num (Float.of_int f.shrunk_terms))
+      ("shrunk_terms", J.Num (Float.of_int f.shrunk_terms))
     ]
 
 let to_json r =
-  Json_out.Obj
-    [ ("schema", Json_out.Str "fpan-check/1");
-      ("seed", Json_out.Num (Float.of_int r.config.seed));
-      ("cases", Json_out.Num (Float.of_int r.config.cases));
-      ("scalar_cases", Json_out.Num (Float.of_int r.scalar_cases));
-      ("vector_cases", Json_out.Num (Float.of_int r.vector_cases));
-      ("vec_len", Json_out.Num (Float.of_int r.config.vec_len));
-      ("tiers", Json_out.List (List.map (fun t -> Json_out.Num (Float.of_int t)) r.config.tiers));
-      ("ops", Json_out.List (List.map (fun o -> Json_out.Str (Corpus.op_name o)) r.config.ops));
-      ("passed", Json_out.Bool (passed r));
-      ("failure_count", Json_out.Num (Float.of_int r.failure_count));
-      ("failures", Json_out.List (List.map json_of_failure r.failures));
+  J.Obj
+    [ ("schema", J.Str "fpan-check/1");
+      ("seed", J.Num (Float.of_int r.config.seed));
+      ("cases", J.Num (Float.of_int r.config.cases));
+      ("scalar_cases", J.Num (Float.of_int r.scalar_cases));
+      ("vector_cases", J.Num (Float.of_int r.vector_cases));
+      ("vec_len", J.Num (Float.of_int r.config.vec_len));
+      ("tiers", J.List (List.map (fun t -> J.Num (Float.of_int t)) r.config.tiers));
+      ("ops", J.List (List.map (fun o -> J.Str (Corpus.op_name o)) r.config.ops));
+      ("passed", J.Bool (passed r));
+      ("failure_count", J.Num (Float.of_int r.failure_count));
+      ("failures", J.List (List.map json_of_failure r.failures));
       ( "results",
-        Json_out.List
+        J.List
           (List.map
              (fun row ->
                Ulp_stats.to_json ~impl:row.impl ~op:row.op ~q:row.q ~gated:row.gated row.stats)
              r.rows) )
     ]
 
-let write_report path r = Json_out.write_file path (to_json r)
+let write_report path r = J.write_file path (to_json r)

@@ -72,22 +72,24 @@ let skipped t = t.skipped
 let max_ulps t = t.max_ulps
 let exceed t = t.exceed
 
+module J = Obs.Json_out
+
 let to_json ~impl ~op ~q ~gated t =
-  Json_out.Obj
-    [ ("impl", Json_out.Str impl);
-      ("op", Json_out.Str op);
-      ("q", Json_out.Num (Float.of_int q));
-      ("gated", Json_out.Bool gated);
-      ("count", Json_out.Num (Float.of_int t.count));
-      ("skipped", Json_out.Num (Float.of_int t.skipped));
-      ("nonfinite", Json_out.Num (Float.of_int t.nonfinite));
-      ("exceed", Json_out.Num (Float.of_int t.exceed));
-      ("max_ulps", Json_out.Num t.max_ulps);
-      ("mean_ulps", Json_out.Num (mean t));
+  J.Obj
+    [ ("impl", J.Str impl);
+      ("op", J.Str op);
+      ("q", J.Num (Float.of_int q));
+      ("gated", J.Bool gated);
+      ("count", J.Num (Float.of_int t.count));
+      ("skipped", J.Num (Float.of_int t.skipped));
+      ("nonfinite", J.Num (Float.of_int t.nonfinite));
+      ("exceed", J.Num (Float.of_int t.exceed));
+      ("max_ulps", J.Num t.max_ulps);
+      ("mean_ulps", J.Num (mean t));
       ( "histogram",
-        Json_out.Obj
-          [ ("lo_exp", Json_out.Num (Float.of_int lo_exp));
-            ("hi_exp", Json_out.Num (Float.of_int hi_exp));
-            ("buckets", Json_out.List (Array.to_list (Array.map (fun c -> Json_out.Num (Float.of_int c)) t.buckets)))
+        J.Obj
+          [ ("lo_exp", J.Num (Float.of_int lo_exp));
+            ("hi_exp", J.Num (Float.of_int hi_exp));
+            ("buckets", J.List (Array.to_list (Array.map (fun c -> J.Num (Float.of_int c)) t.buckets)))
           ] )
     ]

@@ -38,4 +38,4 @@ val merge : t -> t -> t
 (** Pointwise combination (counts and buckets add, max of maxima);
     commutative and associative, so shards merge in any order. *)
 
-val to_json : impl:string -> op:string -> q:int -> gated:bool -> t -> Json_out.t
+val to_json : impl:string -> op:string -> q:int -> gated:bool -> t -> Obs.Json_out.t

@@ -3,8 +3,7 @@
    pretty-printed so the files diff cleanly across runs.
 
    Lived in lib/check until the observability layer needed JSON below
-   lib/check in the dependency order (lib/runtime depends on lib/obs);
-   Check.Json_out remains as an alias.
+   lib/check in the dependency order (lib/runtime depends on lib/obs).
 
    Numbers are emitted with the shortest decimal representation that
    round-trips to the same double ([parse (to_string (Num f))] is

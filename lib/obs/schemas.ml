@@ -62,7 +62,7 @@ let bench_fig =
         );
       Opt ("sched", fig_sched_block) ]
 
-(* --- BENCH_sched.json (fpan-bench-sched/1) -------------------------- *)
+(* --- BENCH_sched.json (fpan-bench-sched/2) -------------------------- *)
 
 let sched_curve_row =
   Obj
@@ -70,14 +70,12 @@ let sched_curve_row =
       Req ("runtime_wall_s", Num);
       Req ("runtime_gops", Num);
       Req ("speedup_vs_seq", Num);
-      Req ("pool_wall_s", Num);
-      Req ("pool_gops", Num);
       Req ("bitwise_equal_seq", Bool);
       Req ("telemetry", List worker_row) ]
 
 let bench_sched =
   Obj
-    [ Req ("schema", Str_const "fpan-bench-sched/1");
+    [ Req ("schema", Str_const "fpan-bench-sched/2");
       Req ("kernel", Str);
       Req ("bits", Int);
       Req ("n", Int);

@@ -95,7 +95,7 @@ val stop : t -> unit
 
 val stats_doc : t -> Obs.Json_out.t
 (** Server introspection per {!Obs.Schemas.serve_stats} (schema
-    [fpan-serve/4]): readiness backend, connection and admission
+    [fpan-serve/4]): readiness backend (always [poll]), connection and admission
     counters, shed counters (including priority displacements and the
     per-SLA-bucket shed split), queue depth / high-water mark, cache
     hit/miss/size/evictions, batch-size histogram, and the scheduler's

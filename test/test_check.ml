@@ -87,7 +87,7 @@ let test_report_json_wellformed () =
     { Check.Fuzz.default with Check.Fuzz.cases = 50; tiers = [ 2 ]; ops = [ Check.Corpus.Add ] }
   in
   let report = Check.Fuzz.run cfg in
-  let s = Check.Json_out.to_string (Check.Fuzz.to_json report) in
+  let s = Obs.Json_out.to_string (Check.Fuzz.to_json report) in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in

@@ -1,6 +1,5 @@
-(* The readiness loop under the server: poll-backend registration /
-   deregistration churn, event delivery with no spurious reports, the
-   select backend's explicit descriptor ceiling, and the regression
+(* The readiness loop under the server: registration / deregistration
+   churn, event delivery with no spurious reports, and the regression
    the whole abstraction exists for — registering and serving a
    descriptor whose numeric value is beyond FD_SETSIZE. *)
 
@@ -14,109 +13,86 @@ let with_pipe f =
       try Unix.close w with _ -> ())
     (fun () -> f r w)
 
-let test_backend_selection () =
-  let t = R.create () in
-  Alcotest.(check string) "default backend" "poll" (R.backend_name t);
-  let s = R.create ~backend:R.Select () in
-  Alcotest.(check string) "explicit select" "select" (R.backend_name s)
-
 let test_churn () =
-  List.iter
-    (fun backend ->
-      let t = R.create ~backend () in
-      let name = R.backend_name t in
-      let pipes = Array.init 100 (fun _ -> Unix.pipe ~cloexec:true ()) in
-      Fun.protect
-        ~finally:(fun () ->
-          Array.iter
-            (fun (r, w) ->
-              (try Unix.close r with _ -> ());
-              try Unix.close w with _ -> ())
-            pipes)
-        (fun () ->
-          (* grow, interleaving adds with removes, several rounds *)
-          for round = 1 to 3 do
-            Array.iter (fun (r, _) -> R.add t r ~read:true ~write:false) pipes;
-            Alcotest.(check int)
-              (Printf.sprintf "%s: all registered (round %d)" name round)
-              100 (R.registered t);
-            Array.iteri
-              (fun i (r, _) -> if i mod 2 = 0 then R.remove t r)
-              pipes;
-            Alcotest.(check int)
-              (Printf.sprintf "%s: half removed (round %d)" name round)
-              50 (R.registered t);
-            (* double-add of a live registration is a caller bug *)
-            (match pipes.(1) with
-            | r, _ -> (
-                match R.add t r ~read:true ~write:false with
-                | () -> Alcotest.fail (name ^ ": double add accepted")
-                | exception Invalid_argument _ -> ()));
-            (* remove is idempotent: a second remove is a no-op *)
-            (match pipes.(0) with r, _ -> R.remove t r);
-            Array.iteri (fun i (r, _) -> if i mod 2 = 1 then R.remove t r) pipes;
-            Alcotest.(check int)
-              (Printf.sprintf "%s: all removed (round %d)" name round)
-              0 (R.registered t)
-          done;
-          (* mem tracks membership through modify *)
-          (match pipes.(7) with
-          | r, _ ->
-              R.add t r ~read:true ~write:false;
-              Alcotest.(check bool) (name ^ ": mem after add") true (R.mem t r);
-              R.modify t r ~read:true ~write:true;
-              Alcotest.(check bool) (name ^ ": mem after modify") true (R.mem t r);
-              R.remove t r;
-              Alcotest.(check bool) (name ^ ": mem after remove") false (R.mem t r))))
-    [ R.Poll; R.Select ]
+  let t = R.create () in
+  let pipes = Array.init 100 (fun _ -> Unix.pipe ~cloexec:true ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun (r, w) ->
+          (try Unix.close r with _ -> ());
+          try Unix.close w with _ -> ())
+        pipes)
+    (fun () ->
+      (* grow, interleaving adds with removes, several rounds *)
+      for round = 1 to 3 do
+        Array.iter (fun (r, _) -> R.add t r ~read:true ~write:false) pipes;
+        Alcotest.(check int)
+          (Printf.sprintf "all registered (round %d)" round)
+          100 (R.registered t);
+        Array.iteri
+          (fun i (r, _) -> if i mod 2 = 0 then R.remove t r)
+          pipes;
+        Alcotest.(check int)
+          (Printf.sprintf "half removed (round %d)" round)
+          50 (R.registered t);
+        (* double-add of a live registration is a caller bug *)
+        (match pipes.(1) with
+        | r, _ -> (
+            match R.add t r ~read:true ~write:false with
+            | () -> Alcotest.fail "double add accepted"
+            | exception Invalid_argument _ -> ()));
+        (* remove is idempotent: a second remove is a no-op *)
+        (match pipes.(0) with r, _ -> R.remove t r);
+        Array.iteri (fun i (r, _) -> if i mod 2 = 1 then R.remove t r) pipes;
+        Alcotest.(check int)
+          (Printf.sprintf "all removed (round %d)" round)
+          0 (R.registered t)
+      done;
+      (* mem tracks membership through modify *)
+      match pipes.(7) with
+      | r, _ ->
+          R.add t r ~read:true ~write:false;
+          Alcotest.(check bool) "mem after add" true (R.mem t r);
+          R.modify t r ~read:true ~write:true;
+          Alcotest.(check bool) "mem after modify" true (R.mem t r);
+          R.remove t r;
+          Alcotest.(check bool) "mem after remove" false (R.mem t r))
 
 let test_event_delivery () =
-  List.iter
-    (fun backend ->
-      let t = R.create ~backend () in
-      let name = R.backend_name t in
-      with_pipe (fun r1 w1 ->
-          with_pipe (fun r2 _w2 ->
-              R.add t r1 ~read:true ~write:false;
-              R.add t r2 ~read:true ~write:false;
-              (* nothing ready: a timed wait returns no events *)
-              Alcotest.(check int)
-                (name ^ ": quiet timeout") 0
-                (List.length (R.wait t ~timeout_ms:10));
-              (* only the fd with data reports — no spurious events for
-                 the idle sibling *)
-              ignore (Unix.write w1 (Bytes.of_string "x") 0 1);
-              let evs = R.wait t ~timeout_ms:1000 in
-              Alcotest.(check int) (name ^ ": one event") 1 (List.length evs);
-              let e = List.hd evs in
-              Alcotest.(check bool) (name ^ ": right fd") true (e.R.fd = r1);
-              Alcotest.(check bool) (name ^ ": readable") true e.R.readable;
-              Alcotest.(check bool) (name ^ ": not writable") false e.R.writable;
-              (* drained: the level-triggered report stops *)
-              ignore (Unix.read r1 (Bytes.create 8) 0 8);
-              Alcotest.(check int)
-                (name ^ ": quiet after drain") 0
-                (List.length (R.wait t ~timeout_ms:10)))))
-    [ R.Poll; R.Select ]
+  let t = R.create () in
+  with_pipe (fun r1 w1 ->
+      with_pipe (fun r2 _w2 ->
+          R.add t r1 ~read:true ~write:false;
+          R.add t r2 ~read:true ~write:false;
+          (* nothing ready: a timed wait returns no events *)
+          Alcotest.(check int) "quiet timeout" 0 (List.length (R.wait t ~timeout_ms:10));
+          (* only the fd with data reports — no spurious events for
+             the idle sibling *)
+          ignore (Unix.write w1 (Bytes.of_string "x") 0 1);
+          let evs = R.wait t ~timeout_ms:1000 in
+          Alcotest.(check int) "one event" 1 (List.length evs);
+          let e = List.hd evs in
+          Alcotest.(check bool) "right fd" true (e.R.fd = r1);
+          Alcotest.(check bool) "readable" true e.R.readable;
+          Alcotest.(check bool) "not writable" false e.R.writable;
+          (* drained: the level-triggered report stops *)
+          ignore (Unix.read r1 (Bytes.create 8) 0 8);
+          Alcotest.(check int) "quiet after drain" 0 (List.length (R.wait t ~timeout_ms:10))))
 
 let test_write_interest () =
-  List.iter
-    (fun backend ->
-      let t = R.create ~backend () in
-      let name = R.backend_name t in
-      with_pipe (fun _r w ->
-          (* read-only interest on a writable fd: no event *)
-          R.add t w ~read:true ~write:false;
-          Alcotest.(check int)
-            (name ^ ": no write event without interest") 0
-            (List.length (R.wait t ~timeout_ms:10));
-          (* flip interest to writes: an empty pipe is ready at once *)
-          R.modify t w ~read:false ~write:true;
-          let evs = R.wait t ~timeout_ms:1000 in
-          Alcotest.(check int) (name ^ ": writable event") 1 (List.length evs);
-          Alcotest.(check bool) (name ^ ": writable flag") true
-            (List.hd evs).R.writable))
-    [ R.Poll; R.Select ]
+  let t = R.create () in
+  with_pipe (fun _r w ->
+      (* read-only interest on a writable fd: no event *)
+      R.add t w ~read:true ~write:false;
+      Alcotest.(check int)
+        "no write event without interest" 0
+        (List.length (R.wait t ~timeout_ms:10));
+      (* flip interest to writes: an empty pipe is ready at once *)
+      R.modify t w ~read:false ~write:true;
+      let evs = R.wait t ~timeout_ms:1000 in
+      Alcotest.(check int) "writable event" 1 (List.length evs);
+      Alcotest.(check bool) "writable flag" true (List.hd evs).R.writable)
 
 let test_hangup () =
   let t = R.create () in
@@ -143,11 +119,10 @@ let test_poll1 () =
           Alcotest.(check bool) "poll1 fd" true (e.R.fd = r)
       | None -> Alcotest.fail "poll1 returned no event")
 
-(* The regression the poll backend exists for: a descriptor whose
-   *value* is past FD_SETSIZE.  select(2) cannot represent it at all
-   (our select backend refuses it loudly); poll serves it like any
-   other.  The ladder of dups pushes a pipe's fd number beyond 1024
-   without needing 1024 live sockets. *)
+(* The regression the poll loop exists for: a descriptor whose
+   *value* is past FD_SETSIZE.  select(2) cannot represent it at all;
+   poll serves it like any other.  The ladder of dups pushes a pipe's
+   fd number beyond 1024 without needing 1024 live sockets. *)
 let test_beyond_fd_setsize () =
   let target = 1300 in
   let r, w = Unix.pipe ~cloexec:true () in
@@ -174,13 +149,7 @@ let test_beyond_fd_setsize () =
     (fun () ->
       Alcotest.(check bool) "fd value beyond FD_SETSIZE" true
         ((Obj.magic high : int) > 1024);
-      (* the select backend refuses: it cannot watch this fd *)
-      let s = R.create ~backend:R.Select () in
-      (match R.add s high ~read:true ~write:false with
-      | () -> Alcotest.fail "select backend accepted an fd beyond its ceiling"
-      | exception Invalid_argument _ -> ());
-      (* the poll backend serves it *)
-      let t = R.create ~backend:R.Poll () in
+      let t = R.create () in
       R.add t high ~read:true ~write:false;
       ignore (Unix.write w (Bytes.of_string "!") 0 1);
       let evs = R.wait t ~timeout_ms:1000 in
@@ -190,9 +159,7 @@ let test_beyond_fd_setsize () =
 
 let () =
   Alcotest.run "readiness"
-    [ ( "backend",
-        [ Alcotest.test_case "selection" `Quick test_backend_selection ] );
-      ( "registration",
+    [ ( "registration",
         [ Alcotest.test_case "churn" `Quick test_churn ] );
       ( "events",
         [ Alcotest.test_case "delivery, no spurious reports" `Quick

@@ -320,18 +320,6 @@ let test_engine_dot_deterministic_across_workers () =
     "tree dot close to sequential dot" true
     (Float.abs (reference -. seq) <= 1e-12 *. Float.max 1.0 (Float.abs seq))
 
-let test_engine_matches_pool_path () =
-  (* The runtime GEMM must agree bitwise with the row-parallel pool
-     path too (both reproduce the sequential accumulation order). *)
-  let m = 19 and n = 13 and k = 21 in
-  let a = Gen2.vec (m * k) 12 in
-  let b = Gen2.vec (k * n) 13 in
-  let c_pool = K2.V.create (m * n) in
-  Parallel.Pool.with_pool ~domains:3 (fun pool -> K2.gemm_pool pool ~m ~n ~k ~a ~b ~c:c_pool);
-  let c_rt = K2.V.create (m * n) in
-  Sched.with_sched ~workers:3 (fun rt -> K2.gemm_rt rt ~m ~n ~k ~a ~b ~c:c_rt ());
-  check_bitwise "runtime vs pool gemm" (K2.vec_to_floats c_pool) (K2.vec_to_floats c_rt)
-
 (* ------------------------------------------------------------------ *)
 (* Refinement through the runtime *)
 
@@ -485,8 +473,7 @@ let () =
           Alcotest.test_case "gemm accumulates" `Quick test_engine_gemm_accumulates;
           Alcotest.test_case "gemv bitwise mf3" `Quick test_engine_gemv_bitwise_mf3;
           Alcotest.test_case "axpy bitwise mf2" `Quick test_engine_axpy_bitwise_mf2;
-          Alcotest.test_case "dot deterministic" `Quick test_engine_dot_deterministic_across_workers;
-          Alcotest.test_case "runtime vs pool" `Quick test_engine_matches_pool_path ] );
+          Alcotest.test_case "dot deterministic" `Quick test_engine_dot_deterministic_across_workers ] );
       ( "refine",
         [ Alcotest.test_case "refine ?rt bitwise" `Quick test_refine_rt_bitwise ] );
       ( "telemetry",

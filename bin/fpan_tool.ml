@@ -284,7 +284,7 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
   if obs then begin
     Obs.Trace.set_enabled true;
     Obs.Trace.clear ();
-    Obs.Metrics.reset ()
+    Obs.Metrics.reset Obs.Metrics.global
   end;
   let last_sched = ref None in
   let curve =
@@ -346,7 +346,7 @@ let bench_sched_run n terms workers_csv reps tile sweep obs out =
       let chrome_path = base ^ "_chrome_trace.json" in
       let summary =
         Obs.Export.summary ~workload:"bench-sched" ?sched:!last_sched ~spans
-          ~metrics:(Obs.Metrics.snapshot ()) ~dropped ~unbalanced ()
+          ~metrics:(Obs.Metrics.snapshot Obs.Metrics.global) ~dropped ~unbalanced ()
       in
       Obs.Schema.check ~name:summary_path Obs.Schemas.trace_summary summary;
       let chrome = Obs.Export.chrome_trace spans in
@@ -523,13 +523,13 @@ let trace_run workload n terms workers reps out_prefix =
   Obs.Trace.set_enabled true;
   ignore (execute ()) (* traced warmup: creates the per-domain rings *);
   Obs.Trace.clear ();
-  Obs.Metrics.reset ();
+  Obs.Metrics.reset Obs.Metrics.global;
   let t_tr, sched = best_of reps in
   Obs.Trace.set_enabled false;
   let dropped = Obs.Trace.dropped () in
   let spans = Obs.Trace.drain () in
   let unbalanced = Obs.Trace.unbalanced () in
-  let metrics = Obs.Metrics.snapshot () in
+  let metrics = Obs.Metrics.snapshot Obs.Metrics.global in
   let overhead_pct = (t_tr -. t_un) /. t_un *. 100.0 in
   let overhead =
     J.Obj

@@ -101,7 +101,8 @@ let run cfg =
       let tier_cases = ref 0 in
       let count_cls cls =
         incr tier_cases;
-        Obs.Metrics.incr (Obs.Metrics.counter ("fuzz.cases." ^ Corpus.cls_name cls))
+        Obs.Metrics.incr
+          (Obs.Metrics.counter Obs.Metrics.global ("fuzz.cases." ^ Corpus.cls_name cls))
       in
       if tr then Obs.Trace.begin_span Obs.Trace.Fuzz (Printf.sprintf "fuzz.tier%d" terms);
       if scalar_ops <> [] then begin

@@ -26,16 +26,7 @@ let create () =
   { count = 0; skipped = 0; nonfinite = 0; exceed = 0; max_ulps = 0.0; sum_ulps = 0.0;
     buckets = Array.make nbuckets 0 }
 
-let bucket_of ulps =
-  if ulps < Float.ldexp 1.0 lo_exp then 0
-  else if not (ulps < Float.ldexp 1.0 hi_exp) then nbuckets - 1
-  else begin
-    (* frexp gives floor(log2 ulps) = e - 1 exactly; Float.log2 would
-       round values one ulp below a power of two up onto the boundary
-       and misbucket them *)
-    let b = 1 + (snd (Float.frexp ulps) - 1 - lo_exp) in
-    Stdlib.min (nbuckets - 2) (Stdlib.max 1 b)
-  end
+let bucket_of ulps = Obs.Metrics.bucket_of ~lo_exp ~hi_exp ulps
 
 let record t ulps =
   t.count <- t.count + 1;

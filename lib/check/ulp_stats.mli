@@ -28,7 +28,8 @@ val max_ulps : t -> float
 val exceed : t -> int
 
 val bucket_of : float -> int
-(** The histogram bucket a given ulp value lands in (exposed for the
+(** The histogram bucket a given ulp value lands in:
+    {!Obs.Metrics.bucket_of} over [[lo_exp, hi_exp]] (exposed for the
     boundary tests: bucket edges sit at exact powers of two). *)
 
 val bucket : t -> int -> int

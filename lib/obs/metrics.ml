@@ -1,4 +1,9 @@
-(* Global registry of counters, gauges, and log2 histograms.
+(* Registries of counters, gauges, and log2 histograms.
+
+   A registry is a name table plus the lock that guards it.  Each
+   server owns one (Serve.Batcher creates it), so two servers in one
+   process keep separate numbers; [global] serves everything else
+   (fuzz campaigns, traces, benches).
 
    Counters and histograms are sharded per domain: each domain gets a
    private cell on first touch (via a per-metric [Domain.DLS] key), so
@@ -8,7 +13,7 @@
    histogram sum), so the result does not depend on shard or argument
    order — the property test/test_obs.ml exercises.
 
-   Histograms reuse the log2 bucketing shape of Check.Ulp_stats:
+   Histograms bucket by log2 (Check.Ulp_stats reuses [bucket_of]):
    bucket 0 collects everything below 2^lo_exp (including NaN), the
    last bucket everything at or above 2^hi_exp, and bucket i in
    between covers [2^(lo_exp+i-1), 2^(lo_exp+i)). *)
@@ -50,68 +55,68 @@ type hist = {
 
 type metric = M_counter of counter | M_gauge of gauge | M_hist of hist
 
-let registry : (string, metric) Hashtbl.t = Hashtbl.create 97
-let lock = Mutex.create ()
+type registry = { tbl : (string, metric) Hashtbl.t; lock : Mutex.t }
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let create () = { tbl = Hashtbl.create 97; lock = Mutex.create () }
+let global = create ()
+
+let locked r f =
+  Mutex.lock r.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
 
 (* --- registration --------------------------------------------------- *)
 
-let counter name =
-  locked (fun () ->
-      match Hashtbl.find_opt registry name with
+(* The DLS initialiser runs on a domain's first update, not under the
+   registry lock the registering caller holds, and links the domain's
+   new shard in for [snapshot]. *)
+let shard_key r shards fresh =
+  Domain.DLS.new_key (fun () ->
+      let s = fresh () in
+      Mutex.lock r.lock;
+      shards := s :: !shards;
+      Mutex.unlock r.lock;
+      s)
+
+let counter r name =
+  locked r (fun () ->
+      match Hashtbl.find_opt r.tbl name with
       | Some (M_counter c) -> c
       | Some _ -> invalid_arg ("Obs.Metrics.counter: " ^ name ^ " has another kind")
       | None ->
           let shards = ref [] in
-          let key =
-            (* the DLS initialiser runs on a domain's first update, not
-               under the registry lock held here *)
-            Domain.DLS.new_key (fun () ->
-                let s = { cs_n = 0 } in
-                Mutex.lock lock;
-                shards := s :: !shards;
-                Mutex.unlock lock;
-                s)
-          in
+          let key = shard_key r shards (fun () -> { cs_n = 0 }) in
           let c = { c_shards = shards; c_key = key } in
-          Hashtbl.add registry name (M_counter c);
+          Hashtbl.add r.tbl name (M_counter c);
           c)
 
-let gauge name =
-  locked (fun () ->
-      match Hashtbl.find_opt registry name with
+let gauge r name =
+  locked r (fun () ->
+      match Hashtbl.find_opt r.tbl name with
       | Some (M_gauge g) -> g
       | Some _ -> invalid_arg ("Obs.Metrics.gauge: " ^ name ^ " has another kind")
       | None ->
           let g = { g_v = 0.0 } in
-          Hashtbl.add registry name (M_gauge g);
+          Hashtbl.add r.tbl name (M_gauge g);
           g)
 
 let default_lo_exp = -12
 let default_hi_exp = 40
 
-let hist ?(lo_exp = default_lo_exp) ?(hi_exp = default_hi_exp) name =
+let hist r ?(lo_exp = default_lo_exp) ?(hi_exp = default_hi_exp) name =
   if hi_exp <= lo_exp then invalid_arg "Obs.Metrics.hist: hi_exp <= lo_exp";
-  locked (fun () ->
-      match Hashtbl.find_opt registry name with
+  locked r (fun () ->
+      match Hashtbl.find_opt r.tbl name with
       | Some (M_hist h) -> h
       | Some _ -> invalid_arg ("Obs.Metrics.hist: " ^ name ^ " has another kind")
       | None ->
           let nb = hi_exp - lo_exp + 2 in
           let shards = ref [] in
           let key =
-            Domain.DLS.new_key (fun () ->
-                let s = { hs_buckets = Array.make nb 0; hs_count = 0; hs_sum = 0.0; hs_max = 0.0 } in
-                Mutex.lock lock;
-                shards := s :: !shards;
-                Mutex.unlock lock;
-                s)
+            shard_key r shards (fun () ->
+                { hs_buckets = Array.make nb 0; hs_count = 0; hs_sum = 0.0; hs_max = 0.0 })
           in
           let h = { h_lo = lo_exp; h_hi = hi_exp; h_shards = shards; h_key = key } in
-          Hashtbl.add registry name (M_hist h);
+          Hashtbl.add r.tbl name (M_hist h);
           h)
 
 (* --- updates -------------------------------------------------------- *)
@@ -146,8 +151,8 @@ let observe h v =
 
 (* --- snapshot / merge ----------------------------------------------- *)
 
-let snapshot () =
-  locked (fun () ->
+let snapshot r =
+  locked r (fun () ->
       let rows =
         Hashtbl.fold
           (fun name m acc ->
@@ -171,12 +176,12 @@ let snapshot () =
                       max_v = !max_v }
             in
             (name, v) :: acc)
-          registry []
+          r.tbl []
       in
       List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
 
-let reset () =
-  locked (fun () ->
+let reset r =
+  locked r (fun () ->
       Hashtbl.iter
         (fun _ m ->
           match m with
@@ -190,7 +195,7 @@ let reset () =
                   s.hs_sum <- 0.0;
                   s.hs_max <- 0.0)
                 !(h.h_shards))
-        registry)
+        r.tbl)
 
 let merge_value a b =
   match (a, b) with
@@ -217,6 +222,19 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
   fold b;
   Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let count (s : snapshot) name =
+  match List.assoc_opt name s with Some (Counter n) -> n | _ -> 0
+
+let family (s : snapshot) prefix =
+  let k = String.length prefix in
+  List.filter_map
+    (fun (name, v) ->
+      match v with
+      | Counter n when n > 0 && String.starts_with ~prefix name ->
+          Some (String.sub name k (String.length name - k), n)
+      | _ -> None)
+    s
 
 (* --- JSON ----------------------------------------------------------- *)
 

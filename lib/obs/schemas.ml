@@ -263,11 +263,30 @@ let serve_sla_stats =
       Req ("escalations", Int);
       Req ("chosen", serve_escalation_histogram) ]
 
+(* One Obs.Metrics snapshot row (Metrics.to_json): server stats carry
+   the latency histograms as these, trace summaries every metric. *)
+let metric_row =
+  One_of
+    [ Obj [ Req ("name", Str); Req ("type", Str_const "counter"); Req ("value", Int) ];
+      Obj [ Req ("name", Str); Req ("type", Str_const "gauge"); Req ("value", num_or_null) ];
+      Obj
+        [ Req ("name", Str);
+          Req ("type", Str_const "histogram");
+          Req ("lo_exp", Int);
+          Req ("hi_exp", Int);
+          Req ("count", Int);
+          Req ("sum", num_or_null);
+          Req ("max", num_or_null);
+          Req ("buckets", List Int) ] ]
+
 (* fpan-serve/4: priority shedding under overload — displacement count
-   plus the per-SLA-bucket split of everything shed. *)
+   plus the per-SLA-bucket split of everything shed.  fpan-serve/5: the
+   counts come from the server's metrics registry, deadline sheds land
+   in their bucket too, and the arrival-to-reply latency histograms are
+   exported as [latency_ns]. *)
 let serve_stats =
   Obj
-    [ Req ("schema", Str_const "fpan-serve/4");
+    [ Req ("schema", Str_const "fpan-serve/5");
       Req ("backend", Str);
       Req ("accepted", Int);
       Req ("adopted_conns", Int);
@@ -289,6 +308,7 @@ let serve_stats =
       Req ("cache", serve_cache_stats);
       Req ("sla", serve_sla_stats);
       Req ("batch_histogram", serve_batch_histogram);
+      Req ("latency_ns", List metric_row);
       Req ("sched", List worker_row) ]
 
 let serve_cell =
@@ -435,20 +455,6 @@ let chaos_report =
       Req ("passed", Bool) ]
 
 (* --- TRACE_*.json (fpan-trace/1) ------------------------------------ *)
-
-let metric_row =
-  One_of
-    [ Obj [ Req ("name", Str); Req ("type", Str_const "counter"); Req ("value", Int) ];
-      Obj [ Req ("name", Str); Req ("type", Str_const "gauge"); Req ("value", num_or_null) ];
-      Obj
-        [ Req ("name", Str);
-          Req ("type", Str_const "histogram");
-          Req ("lo_exp", Int);
-          Req ("hi_exp", Int);
-          Req ("count", Int);
-          Req ("sum", num_or_null);
-          Req ("max", num_or_null);
-          Req ("buckets", List Int) ] ]
 
 let trace_by_name_row =
   Obj

@@ -24,8 +24,6 @@
    can never displace each other, so existing callers keep the plain
    full-means-`Full behavior. *)
 
-let depth_gauge = Obs.Metrics.gauge "serve.queue_depth"
-
 type 'a node = {
   v : 'a;
   prio : int;
@@ -41,7 +39,6 @@ type 'a t = {
   mutable len : int;
   mutable closed : bool;
   mutable max_depth : int;
-  mutable displaced : int;
   bell_r : Unix.file_descr;
   bell_w : Unix.file_descr;
 }
@@ -59,7 +56,6 @@ let create ~capacity =
     len = 0;
     closed = false;
     max_depth = 0;
-    displaced = 0;
     bell_r;
     bell_w;
   }
@@ -121,14 +117,12 @@ let push ?(priority = 0) t v =
       | Some victim when victim.prio < priority ->
           unlink t victim;
           append t v priority;
-          t.displaced <- t.displaced + 1;
           `Displaced victim.v
       | _ -> `Full
     end
     else begin
       append t v priority;
       if t.len > t.max_depth then t.max_depth <- t.len;
-      Obs.Metrics.set depth_gauge (float_of_int t.len);
       if t.len = 1 then `Ok_ring else `Ok
     end
   in
@@ -171,12 +165,6 @@ let max_depth t =
   Mutex.unlock t.lock;
   d
 
-let displaced t =
-  Mutex.lock t.lock;
-  let d = t.displaced in
-  Mutex.unlock t.lock;
-  d
-
 (* Pop up to [room] items right now.  Returns them newest-last. *)
 let take_now t room =
   Mutex.lock t.lock;
@@ -195,7 +183,6 @@ let take_now t room =
   do
     ()
   done;
-  if !k > 0 then Obs.Metrics.set depth_gauge (float_of_int t.len);
   let closed = t.closed in
   Mutex.unlock t.lock;
   (List.rev !out, closed)

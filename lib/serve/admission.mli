@@ -8,8 +8,8 @@
 
     The consumer side supports a timed window wait — OCaml's
     [Condition] has no timed variant, so the queue carries a self-pipe
-    doorbell: producers ring it after every push and [pop_batch] waits
-    on it with [Unix.select], which gives both the blocking
+    doorbell: a push onto an empty queue rings it and [pop_batch]
+    waits on it through {!Readiness}, which gives both the blocking
     wait-for-first-item and the bounded wait-to-fill-the-batch. *)
 
 type 'a t
@@ -48,11 +48,7 @@ val destroy : 'a t -> unit
 val is_closed : 'a t -> bool
 
 val depth : 'a t -> int
-(** Current occupancy; also mirrored to the [serve.queue_depth]
-    gauge. *)
+(** Current occupancy. *)
 
 val max_depth : 'a t -> int
 (** High-water mark of {!depth} since {!create}. *)
-
-val displaced : 'a t -> int
-(** Entries evicted by higher-priority pushes since {!create}. *)

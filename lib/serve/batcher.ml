@@ -274,37 +274,43 @@ let eval_batch sched tier (reqs : P.request array) =
 
 (* --- the batcher domain --------------------------------------------- *)
 
+module M = Obs.Metrics
+
+(* Shed accounting buckets: one for fixed-tier work, four q ranges for
+   SLA work.  Fixed shape, fixed order — the stats document must be
+   deterministic. *)
+let shed_buckets = [| "fixed"; "q1-50"; "q51-100"; "q101-150"; "q151-200" |]
+
+let shed_bucket (req : P.request) =
+  match req.P.sla with
+  | None -> 0
+  | Some q -> if q <= 50 then 1 else if q <= 100 then 2 else if q <= 150 then 3 else 4
+
+(* The escalation ladder's display order; unknown labels (never
+   produced today) would sort last. *)
+let tier_order = [ "mf2"; "mf3"; "mf4"; "bigfloat" ]
+
 type t = {
   sched : Runtime.Sched.t;
   queue : entry Admission.t;
   max_batch : int;
   window_ns : int64;
   flush : unit -> unit;
-  lock : Mutex.t;
-  mutable batches : int;
-  mutable completed : int;
-  mutable shed_deadline : int;
-  mutable errors : int;
-  hist : (int, int ref) Hashtbl.t;
-  mutable sla_requests : int;
-  mutable sla_escalations : int;
-  sla_chosen : (string, int ref) Hashtbl.t;
+  metrics : M.registry;
+  completed_ctr : M.counter;
+  shed_deadline_ctr : M.counter;
+  errors_ctr : M.counter;
+  sla_requests_ctr : M.counter;
+  sla_escalations_ctr : M.counter;
+  shed_ctrs : M.counter array;  (* by shed_bucket *)
+  latency_hist : M.hist;
+  (* per-rung serving latency: how much an SLA request pays for ending
+     up at each tier (escalated elements accumulate every rung they
+     visited) *)
+  sla_latency_hists : (string * M.hist) list;
+  members : (string, M.counter) Hashtbl.t;  (* batcher domain only *)
   mutable domain : unit Domain.t option;
 }
-
-let batch_hist = Obs.Metrics.hist ~lo_exp:0 ~hi_exp:12 "serve.batch_size"
-let latency_hist = Obs.Metrics.hist "serve.latency_ns"
-let completed_ctr = Obs.Metrics.counter "serve.completed"
-let shed_deadline_ctr = Obs.Metrics.counter "serve.shed_deadline"
-let sla_requests_ctr = Obs.Metrics.counter "serve.sla_requests"
-let sla_escalations_ctr = Obs.Metrics.counter "serve.sla_escalations"
-
-(* Per-rung serving latency: how much an SLA request pays for ending up
-   at each tier (escalated elements accumulate every rung they visited). *)
-let sla_latency_hists =
-  List.map
-    (fun name -> (name, Obs.Metrics.hist ("serve.sla.latency_ns." ^ name)))
-    [ "mf2"; "mf3"; "mf4"; "bigfloat" ]
 
 let expired now (e : entry) =
   match e.req.P.deadline_ms with
@@ -330,14 +336,21 @@ let group_entries entries =
   List.rev_map (fun key -> List.rev !(Hashtbl.find tbl key)) !order
   |> List.rev
 
-let bump_batch t n =
-  Mutex.lock t.lock;
-  t.batches <- t.batches + 1;
-  (match Hashtbl.find_opt t.hist n with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.hist n (ref 1));
-  Mutex.unlock t.lock;
-  Obs.Metrics.observe batch_hist (float_of_int n)
+(* A counter-family member ([serve.batch_size.<n>],
+   [serve.sla.chosen.<tier>]), registered on first use so a family
+   lists exactly the labels that occurred, and cached so the steady
+   state takes no registry lock. *)
+let member t name =
+  match Hashtbl.find_opt t.members name with
+  | Some c -> c
+  | None ->
+      let c = M.counter t.metrics name in
+      Hashtbl.add t.members name c;
+      c
+
+let count_batch t n = M.incr (member t ("serve.batch_size." ^ string_of_int n))
+
+let count_shed t req = M.incr t.shed_ctrs.(shed_bucket req)
 
 (* counters move before the replies go out, so a client that reacts
    to its response instantly still sees itself in the stats *)
@@ -349,15 +362,12 @@ let run_fixed_group t (arr : entry array) =
         eval_batch t.sched tier (Array.map (fun e -> e.req) arr))
   with
   | results ->
-      Mutex.lock t.lock;
-      t.completed <- t.completed + n;
-      Mutex.unlock t.lock;
-      Obs.Metrics.add completed_ctr n;
-      bump_batch t n;
+      M.add t.completed_ctr n;
+      count_batch t n;
       let now = Obs.Clock.now_ns () in
       Array.iteri
         (fun i e ->
-          Obs.Metrics.observe latency_hist (now -. e.arrival_ns);
+          M.observe t.latency_hist (now -. e.arrival_ns);
           e.reply
             (P.Result
                { id = e.req.P.id; result = results.(i); batch = n;
@@ -365,10 +375,8 @@ let run_fixed_group t (arr : entry array) =
         arr
   | exception e ->
       let msg = Printexc.to_string e in
-      Mutex.lock t.lock;
-      t.errors <- t.errors + n;
-      Mutex.unlock t.lock;
-      bump_batch t n;
+      M.add t.errors_ctr n;
+      count_batch t n;
       Array.iter (fun en -> en.reply (P.Failed { id = en.req.P.id; error = msg })) arr
 
 (* One escalation cohort: evaluate the whole pending subset per tier
@@ -463,34 +471,23 @@ let run_sla_group t (arr : entry array) =
      List.iter (fun i -> failed.(i) <- Some msg) !pending;
      pending := []);
   let n_fail = Array.fold_left (fun a f -> if f = None then a else a + 1) 0 failed in
-  let n_ok = n - n_fail in
-  let total_escal = Array.fold_left ( + ) 0 hops in
-  Mutex.lock t.lock;
-  t.completed <- t.completed + n_ok;
-  t.errors <- t.errors + n_fail;
-  t.sla_requests <- t.sla_requests + n;
-  t.sla_escalations <- t.sla_escalations + total_escal;
+  M.add t.completed_ctr (n - n_fail);
+  M.add t.errors_ctr n_fail;
+  M.add t.sla_requests_ctr n;
+  M.add t.sla_escalations_ctr (Array.fold_left ( + ) 0 hops);
   Array.iteri
-    (fun i f ->
-      if f = None then
-        match Hashtbl.find_opt t.sla_chosen chosen.(i) with
-        | Some r -> incr r
-        | None -> Hashtbl.add t.sla_chosen chosen.(i) (ref 1))
+    (fun i f -> if f = None then M.incr (member t ("serve.sla.chosen." ^ chosen.(i))))
     failed;
-  Mutex.unlock t.lock;
-  Obs.Metrics.add completed_ctr n_ok;
-  Obs.Metrics.add sla_requests_ctr n;
-  Obs.Metrics.add sla_escalations_ctr total_escal;
-  bump_batch t n;
+  count_batch t n;
   let now = Obs.Clock.now_ns () in
   Array.iteri
     (fun i e ->
       match failed.(i) with
       | Some error -> e.reply (P.Failed { id = e.req.P.id; error })
       | None ->
-          Obs.Metrics.observe latency_hist (now -. e.arrival_ns);
-          (match List.assoc_opt chosen.(i) sla_latency_hists with
-          | Some h -> Obs.Metrics.observe h (now -. e.arrival_ns)
+          M.observe t.latency_hist (now -. e.arrival_ns);
+          (match List.assoc_opt chosen.(i) t.sla_latency_hists with
+          | Some h -> M.observe h (now -. e.arrival_ns)
           | None -> ());
           e.reply
             (P.Result
@@ -511,15 +508,10 @@ let cycle t entries =
   let live, late = List.partition (fun e -> not (expired now e)) entries in
   List.iter
     (fun e ->
-      e.reply (P.Shed { id = e.req.P.id; reason = "deadline" });
-      Obs.Metrics.incr shed_deadline_ctr)
+      M.incr t.shed_deadline_ctr;
+      count_shed t e.req;
+      e.reply (P.Shed { id = e.req.P.id; reason = "deadline" }))
     late;
-  let n_late = List.length late in
-  if n_late > 0 then begin
-    Mutex.lock t.lock;
-    t.shed_deadline <- t.shed_deadline + n_late;
-    Mutex.unlock t.lock
-  end;
   List.iter (run_group t) (group_entries live);
   (* one flush per cycle: replies buffered per connection by the
      server go out in a single write each *)
@@ -534,6 +526,9 @@ let rec loop t =
 
 let create ~sched ~queue ~max_batch ~window_ns ?(flush = fun () -> ()) () =
   if max_batch < 1 then invalid_arg "Serve.Batcher.create: max_batch < 1";
+  let metrics = M.create () in
+  let ctr name = M.counter metrics ("serve." ^ name) in
+  let hist name = M.hist metrics ("serve." ^ name) in
   let t =
     {
       sched;
@@ -541,15 +536,17 @@ let create ~sched ~queue ~max_batch ~window_ns ?(flush = fun () -> ()) () =
       max_batch;
       window_ns;
       flush;
-      lock = Mutex.create ();
-      batches = 0;
-      completed = 0;
-      shed_deadline = 0;
-      errors = 0;
-      hist = Hashtbl.create 16;
-      sla_requests = 0;
-      sla_escalations = 0;
-      sla_chosen = Hashtbl.create 4;
+      metrics;
+      completed_ctr = ctr "completed";
+      shed_deadline_ctr = ctr "shed_deadline";
+      errors_ctr = ctr "errors";
+      sla_requests_ctr = ctr "sla_requests";
+      sla_escalations_ctr = ctr "sla_escalations";
+      shed_ctrs = Array.map (fun b -> ctr ("shed." ^ b)) shed_buckets;
+      latency_hist = hist "latency_ns";
+      sla_latency_hists =
+        List.map (fun tier -> (tier, hist ("sla.latency_ns." ^ tier))) tier_order;
+      members = Hashtbl.create 16;
       domain = None;
     }
   in
@@ -563,9 +560,7 @@ let join t =
       Domain.join d;
       t.domain <- None
 
-(* The escalation ladder's display order; unknown labels (never
-   produced today) would sort last. *)
-let tier_order = [ "mf2"; "mf3"; "mf4"; "bigfloat" ]
+let metrics t = t.metrics
 
 let tier_rank name =
   let rec go i = function
@@ -574,27 +569,27 @@ let tier_rank name =
   in
   go 0 tier_order
 
-let stats t =
-  Mutex.lock t.lock;
+let stats_of snap : stats =
+  let count name = M.count snap ("serve." ^ name) in
   let histogram =
-    Hashtbl.fold (fun size r acc -> (size, !r) :: acc) t.hist []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    M.family snap "serve.batch_size."
+    |> List.map (fun (size, n) -> (int_of_string size, n))
+    |> List.sort compare
   in
-  let sla_chosen =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.sla_chosen []
-    |> List.sort (fun (a, _) (b, _) -> compare (tier_rank a, a) (tier_rank b, b))
-  in
-  let s =
-    {
-      batches = t.batches;
-      completed = t.completed;
-      shed_deadline = t.shed_deadline;
-      errors = t.errors;
-      histogram;
-      sla_requests = t.sla_requests;
-      sla_escalations = t.sla_escalations;
-      sla_chosen;
-    }
-  in
-  Mutex.unlock t.lock;
-  s
+  {
+    batches = List.fold_left (fun a (_, n) -> a + n) 0 histogram;
+    completed = count "completed";
+    shed_deadline = count "shed_deadline";
+    errors = count "errors";
+    histogram;
+    sla_requests = count "sla_requests";
+    sla_escalations = count "sla_escalations";
+    sla_chosen =
+      M.family snap "serve.sla.chosen."
+      |> List.sort (fun (a, _) (b, _) -> compare (tier_rank a, a) (tier_rank b, b));
+  }
+
+let stats t = stats_of (M.snapshot t.metrics)
+
+let shed_by_bucket snap =
+  Array.to_list (Array.map (fun b -> (b, M.count snap ("serve.shed." ^ b))) shed_buckets)

@@ -65,8 +65,36 @@ val create :
 val join : t -> unit
 (** Wait for the batcher domain to exit (close the queue first). *)
 
+(** {1 Counts}
+
+    Every count lives once, in the registry {!create} makes — one per
+    server, which {!Server} registers its io-domain counters in too.
+    The batcher keeps [serve.completed], [serve.errors],
+    [serve.shed_deadline], [serve.sla_requests] and
+    [serve.sla_escalations]; the counter families
+    [serve.batch_size.<n>] (one per micro-batch) and
+    [serve.sla.chosen.<tier>]; and the arrival-to-reply histograms
+    [serve.latency_ns] and [serve.sla.latency_ns.<tier>].  Counters
+    move before the replies they count are sent. *)
+
+val metrics : t -> Obs.Metrics.registry
+
+val count_shed : t -> Protocol.request -> unit
+(** Count one shed of the request in its bucket, [serve.shed.<bucket>]:
+    one bucket for fixed-tier work, four for SLA q ranges.  Every shed
+    counts once — the server's queue-full, closed and displaced sheds
+    as well as the batcher's own deadline sheds. *)
+
+val shed_by_bucket : Obs.Metrics.snapshot -> (string * int) list
+(** All five buckets with their counts, in fixed order ([fixed],
+    [q1-50], [q51-100], [q101-150], [q151-200]). *)
+
+val stats_of : Obs.Metrics.snapshot -> stats
+(** The batcher's counts in a snapshot of {!metrics}. *)
+
 val stats : t -> stats
-(** Exact after {!join}; a racy-but-consistent snapshot before. *)
+(** [stats_of] a fresh snapshot: exact after {!join}, racy but
+    consistent per counter before. *)
 
 (** {1 Reference execution} *)
 

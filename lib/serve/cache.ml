@@ -43,9 +43,6 @@ type stats = {
   by_kind : kind_stats list;
 }
 
-let hit_ctr = Obs.Metrics.counter "serve.cache_hit"
-let miss_ctr = Obs.Metrics.counter "serve.cache_miss"
-
 let create ~capacity =
   {
     cap = capacity;
@@ -168,9 +165,6 @@ let find ?(kind = "other") t key =
           None
     in
     Mutex.unlock t.lock;
-    (match r with
-    | Some _ -> Obs.Metrics.incr hit_ctr
-    | None -> Obs.Metrics.incr miss_ctr);
     r
   end
 

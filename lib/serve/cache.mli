@@ -15,9 +15,9 @@
     request whose total operand element count stays under a small
     bound.  Vector requests with large operands are not worth hashing.
 
-    Thread-safe (one mutex; all operations are O(1)).  Hits and misses
-    are exported as [serve.cache_hit] / [serve.cache_miss] metrics and
-    through {!stats}. *)
+    Thread-safe (one mutex; all operations are O(1)).  Hits, misses
+    and evictions are counted under that mutex and reported by
+    {!stats}. *)
 
 type t
 

@@ -19,6 +19,7 @@
 
 module P = Protocol
 module J = Obs.Json_out
+module M = Obs.Metrics
 
 type addr = Unix_path of string | Tcp of { host : string; port : int }
 
@@ -45,30 +46,24 @@ type t = {
   max_conns : int;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  lock : Mutex.t;
   pending_lock : Mutex.t;
   mutable pending : conn list;  (* conns with buffered batch replies *)
   mutable dying : conn list;  (* flush failed off-io-domain; io closes them *)
   conns : (int, conn) Hashtbl.t;  (* io domain only *)
   conn_count : int Atomic.t;
-  mutable accepted : int;
-  mutable adopted : int;
-  mutable refused_conns : int;
-  mutable shed_full : int;
-  mutable shed_closed : int;
-  mutable shed_displaced : int;
-  shed_buckets : int array;  (* sheds per SLA bucket; guarded by lock *)
-  mutable decode_errors : int;
+  (* io-domain counters, in the batcher's registry *)
+  accepted : M.counter;
+  adopted : M.counter;
+  refused_conns : M.counter;
+  shed_full : M.counter;
+  shed_closed : M.counter;
+  shed_displaced : M.counter;
+  decode_errors : M.counter;
   mutable draining : bool;  (* io domain: adoption channel hit EOF *)
   stopping : bool Atomic.t;
   io_exit : bool Atomic.t;
   mutable io_domain : unit Domain.t option;
 }
-
-let accepted_ctr = Obs.Metrics.counter "serve.accepted"
-let shed_full_ctr = Obs.Metrics.counter "serve.shed_full"
-let shed_closed_ctr = Obs.Metrics.counter "serve.shed_closed"
-let shed_displaced_ctr = Obs.Metrics.counter "serve.shed_displaced"
 
 (* --- degradation policy ---------------------------------------------- *)
 
@@ -81,16 +76,6 @@ let priority_of_request (req : P.request) =
   match req.P.sla with
   | Some q -> q
   | None -> 53 * P.tier_terms req.P.tier
-
-(* Shed accounting buckets: one for fixed-tier work, four q ranges for
-   SLA work.  Fixed shape, fixed order — the stats document must be
-   deterministic. *)
-let shed_bucket_names = [| "fixed"; "q1-50"; "q51-100"; "q101-150"; "q151-200" |]
-
-let shed_bucket_index (req : P.request) =
-  match req.P.sla with
-  | None -> 0
-  | Some q -> if q <= 50 then 1 else if q <= 100 then 2 else if q <= 150 then 3 else 4
 
 let fd_key : Unix.file_descr -> int = Obj.magic
 
@@ -216,39 +201,31 @@ let close_conn conn =
 
 (* --- introspection -------------------------------------------------- *)
 
+(* Every count comes from one snapshot of the server's registry. *)
 let stats_doc t =
-  let b = Batcher.stats t.batcher in
+  let snap = M.snapshot (Batcher.metrics t.batcher) in
+  let b = Batcher.stats_of snap in
   let c = Cache.stats t.cache in
-  Mutex.lock t.lock;
-  let accepted = t.accepted in
-  let adopted = t.adopted in
-  let refused_conns = t.refused_conns in
-  let shed_full = t.shed_full in
-  let shed_closed = t.shed_closed in
-  let shed_displaced = t.shed_displaced in
-  let shed_buckets = Array.copy t.shed_buckets in
-  let decode_errors = t.decode_errors in
-  Mutex.unlock t.lock;
   let num n = J.Num (float_of_int n) in
+  let count name = M.count snap ("serve." ^ name) in
   J.Obj
-    [ ("schema", J.Str "fpan-serve/4");
+    [ ("schema", J.Str "fpan-serve/5");
       ("backend", J.Str "poll");
-      ("accepted", num accepted);
-      ("adopted_conns", num adopted);
+      ("accepted", num (count "accepted"));
+      ("adopted_conns", num (count "adopted_conns"));
       ("open_conns", num (Atomic.get t.conn_count));
-      ("refused_conns", num refused_conns);
+      ("refused_conns", num (count "refused_conns"));
       ("completed", num b.Batcher.completed);
-      ("shed_full", num shed_full);
+      ("shed_full", num (count "shed_full"));
       ("shed_deadline", num b.Batcher.shed_deadline);
-      ("shed_closed", num shed_closed);
-      ("shed_displaced", num shed_displaced);
+      ("shed_closed", num (count "shed_closed"));
+      ("shed_displaced", num (count "shed_displaced"));
       ( "shed_by_bucket",
         J.List
-          (List.init (Array.length shed_bucket_names) (fun i ->
-               J.Obj
-                 [ ("bucket", J.Str shed_bucket_names.(i));
-                   ("count", num shed_buckets.(i)) ])) );
-      ("errors", num (decode_errors + b.Batcher.errors));
+          (List.map
+             (fun (bucket, n) -> J.Obj [ ("bucket", J.Str bucket); ("count", num n) ])
+             (Batcher.shed_by_bucket snap)) );
+      ("errors", num (count "decode_errors" + b.Batcher.errors));
       ("batches", num b.Batcher.batches);
       ("queue_capacity", num (Admission.capacity t.queue));
       ("queue_depth", num (Admission.depth t.queue));
@@ -284,6 +261,8 @@ let stats_doc t =
           (List.map
              (fun (size, count) -> J.Obj [ ("size", num size); ("count", num count) ])
              b.Batcher.histogram) );
+      ( "latency_ns",
+        M.to_json (List.filter (fun (_, v) -> match v with M.Hist _ -> true | _ -> false) snap) );
       ("sched", Runtime.Sched.stats_json (Runtime.Sched.stats t.sched)) ]
 
 (* --- request path (io domain) --------------------------------------- *)
@@ -292,11 +271,6 @@ let best_effort_id doc =
   match Option.bind (J.member "id" doc) J.to_num with
   | Some f when Float.is_integer f -> int_of_float f
   | _ -> 0
-
-let bump t f =
-  Mutex.lock t.lock;
-  f t;
-  Mutex.unlock t.lock
 
 let admit t conn (req : P.request) cache_key =
   let reply =
@@ -315,35 +289,23 @@ let admit t conn (req : P.request) cache_key =
   in
   let entry = { Batcher.req; arrival_ns = Obs.Clock.now_ns (); reply } in
   match Admission.push ~priority:(priority_of_request req) t.queue entry with
-  | `Ok ->
-      bump t (fun t -> t.accepted <- t.accepted + 1);
-      Obs.Metrics.incr accepted_ctr
+  | `Ok -> M.incr t.accepted
   | `Full ->
-      bump t (fun t ->
-          t.shed_full <- t.shed_full + 1;
-          let b = shed_bucket_index req in
-          t.shed_buckets.(b) <- t.shed_buckets.(b) + 1);
-      Obs.Metrics.incr shed_full_ctr;
+      M.incr t.shed_full;
+      Batcher.count_shed t.batcher req;
       send t conn (P.Shed { id = req.P.id; reason = "queue_full" })
   | `Displaced victim ->
       (* overload degradation: this request was admitted by evicting
          the oldest strictly-lower-priority entry, which we now shed
          explicitly on its own connection *)
-      bump t (fun t ->
-          t.accepted <- t.accepted + 1;
-          t.shed_displaced <- t.shed_displaced + 1;
-          let b = shed_bucket_index victim.Batcher.req in
-          t.shed_buckets.(b) <- t.shed_buckets.(b) + 1);
-      Obs.Metrics.incr accepted_ctr;
-      Obs.Metrics.incr shed_displaced_ctr;
+      M.incr t.accepted;
+      M.incr t.shed_displaced;
+      Batcher.count_shed t.batcher victim.Batcher.req;
       victim.Batcher.reply
         (P.Shed { id = victim.Batcher.req.P.id; reason = "displaced" })
   | `Closed ->
-      bump t (fun t ->
-          t.shed_closed <- t.shed_closed + 1;
-          let b = shed_bucket_index req in
-          t.shed_buckets.(b) <- t.shed_buckets.(b) + 1);
-      Obs.Metrics.incr shed_closed_ctr;
+      M.incr t.shed_closed;
+      Batcher.count_shed t.batcher req;
       send t conn (P.Shed { id = req.P.id; reason = "closed" })
 
 let handle_frame t conn payload =
@@ -351,12 +313,12 @@ let handle_frame t conn payload =
   if tr then Obs.Trace.begin_span Obs.Trace.Io "serve.request";
   (match J.parse payload with
   | Error e ->
-      bump t (fun t -> t.decode_errors <- t.decode_errors + 1);
+      M.incr t.decode_errors;
       send t conn (P.Failed { id = 0; error = "bad json: " ^ e })
   | Ok doc -> (
       match P.request_of_json doc with
       | Error e ->
-          bump t (fun t -> t.decode_errors <- t.decode_errors + 1);
+          M.incr t.decode_errors;
           send t conn (P.Failed { id = best_effort_id doc; error = e })
       | Ok req when req.P.op = P.Stats ->
           send t conn (P.Stats_reply { id = req.P.id; stats = stats_doc t })
@@ -439,7 +401,7 @@ let accept_all t rd listen_fd =
     with
     | fd, _ ->
         if Atomic.get t.conn_count >= t.max_conns then begin
-          bump t (fun t -> t.refused_conns <- t.refused_conns + 1);
+          M.incr t.refused_conns;
           (try Unix.close fd with _ -> ())
         end
         else install_conn t rd fd;
@@ -448,7 +410,7 @@ let accept_all t rd listen_fd =
     | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
         (* out of descriptors: the pending connection stays in the
            backlog; don't spin on a permanently-ready listener *)
-        bump t (fun t -> t.refused_conns <- t.refused_conns + 1);
+        M.incr t.refused_conns;
         Unix.sleepf 0.05
     | exception Unix.Unix_error _ -> ()
   in
@@ -469,12 +431,12 @@ let adopt_all t rd chan on_drain =
     | byte, fd when byte = Char.code 'c' && fd >= 0 ->
         let fd : Unix.file_descr = Obj.magic fd in
         if Atomic.get t.conn_count >= t.max_conns then begin
-          bump t (fun t -> t.refused_conns <- t.refused_conns + 1);
+          M.incr t.refused_conns;
           try Unix.close fd with _ -> ()
         end
         else begin
           install_conn t rd fd;
-          bump t (fun t -> t.adopted <- t.adopted + 1)
+          M.incr t.adopted
         end;
         go ()
     | byte, fd when byte = Char.code 'q' ->
@@ -619,6 +581,7 @@ let make ~sched ~source ?(queue_capacity = 64) ?(max_batch = 32) ?(window_us = 2
   let t_ref = ref None in
   let flush () = match !t_ref with Some t -> flush_pending t | None -> () in
   let batcher = Batcher.create ~sched ~queue ~max_batch ~window_ns ~flush () in
+  let ctr name = M.counter (Batcher.metrics batcher) ("serve." ^ name) in
   let t =
     {
       sched;
@@ -630,20 +593,18 @@ let make ~sched ~source ?(queue_capacity = 64) ?(max_batch = 32) ?(window_us = 2
       max_conns;
       wake_r;
       wake_w;
-      lock = Mutex.create ();
       pending_lock = Mutex.create ();
       pending = [];
       dying = [];
       conns = Hashtbl.create 256;
       conn_count = Atomic.make 0;
-      accepted = 0;
-      adopted = 0;
-      refused_conns = 0;
-      shed_full = 0;
-      shed_closed = 0;
-      shed_displaced = 0;
-      shed_buckets = Array.make (Array.length shed_bucket_names) 0;
-      decode_errors = 0;
+      accepted = ctr "accepted";
+      adopted = ctr "adopted_conns";
+      refused_conns = ctr "refused_conns";
+      shed_full = ctr "shed_full";
+      shed_closed = ctr "shed_closed";
+      shed_displaced = ctr "shed_displaced";
+      decode_errors = ctr "decode_errors";
       draining = false;
       stopping = Atomic.make false;
       io_exit = Atomic.make false;

@@ -95,11 +95,16 @@ val stop : t -> unit
 
 val stats_doc : t -> Obs.Json_out.t
 (** Server introspection per {!Obs.Schemas.serve_stats} (schema
-    [fpan-serve/4]): readiness backend (always [poll]), connection and admission
-    counters, shed counters (including priority displacements and the
-    per-SLA-bucket shed split), queue depth / high-water mark, cache
-    hit/miss/size/evictions, batch-size histogram, and the scheduler's
-    worker telemetry.  Also what the wire [stats] operation returns. *)
+    [fpan-serve/5]), rendered from one snapshot of the server's
+    registry ({!Batcher.metrics}, the only place a serve count is
+    kept): readiness backend (always [poll]), connection, admission
+    and shed counters (the per-SLA-bucket split covers every shed,
+    priority displacements and deadline sheds included), batch-size
+    histogram, SLA escalation counts, and the arrival-to-reply latency
+    histograms as metric rows ([latency_ns]).  Queue depth and the
+    cache block come from {!Admission} and {!Cache}; the scheduler's
+    worker telemetry closes the document.  Also what the wire [stats]
+    operation returns. *)
 
 val cache_stats : t -> Cache.stats
 

@@ -13,8 +13,6 @@ external send_fd_stub : Unix.file_descr -> int -> int -> unit = "caml_fpan_send_
 
 let int_of_fd : Unix.file_descr -> int = Obj.magic
 
-type balance = [ `Round_robin | `Hash ]
-
 type opts = {
   sched_workers : int;
   queue_capacity : int option;
@@ -39,8 +37,6 @@ type t = {
   bound : Unix.sockaddr;
   unlink : string option;
   slots : slot array;
-  balance : balance;
-  restart : bool;
   opts : opts;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -156,7 +152,7 @@ let reap t =
         | _ ->
             s.live <- false;
             (try Unix.close s.chan with _ -> ());
-            if t.restart && not (Atomic.get t.stopping) then begin
+            if not (Atomic.get t.stopping) then begin
               Mutex.lock t.lock;
               t.restarts <- t.restarts + 1;
               Mutex.unlock t.lock;
@@ -179,38 +175,16 @@ let reap t =
             s.live <- false;
             (try Unix.close s.chan with _ -> ())
         | exception Unix.Unix_error (EINTR, _, _) -> ())
-      else if
-        s.pending && t.restart
-        && (not (Atomic.get t.stopping))
-        && now >= s.next_fork
-      then begin
+      else if s.pending && (not (Atomic.get t.stopping)) && now >= s.next_fork then begin
         s.pending <- false;
         fork_shard t i
       end)
     t.slots
 
-let hash_peer fd nslots =
-  let key =
-    match Unix.getpeername fd with
-    | Unix.ADDR_INET (a, _) ->
-        (* host only: a reconnecting client (new ephemeral port) must
-           land on the same shard for cache affinity to mean anything *)
-        Unix.string_of_inet_addr a
-    | Unix.ADDR_UNIX path -> path
-    | exception _ -> ""
-  in
-  Hashtbl.hash key mod nslots
-
 let dispatch t fd =
   let nslots = Array.length t.slots in
-  let idx =
-    match t.balance with
-    | `Round_robin ->
-        let i = t.rr in
-        t.rr <- (t.rr + 1) mod nslots;
-        i
-    | `Hash -> hash_peer fd nslots
-  in
+  let idx = t.rr in
+  t.rr <- (t.rr + 1) mod nslots;
   let rec try_send tries =
     if tries >= nslots then begin
       (* no live shard could take it; an explicit close beats a
@@ -284,9 +258,8 @@ let distributor t =
 
 (* --- lifecycle -------------------------------------------------------- *)
 
-let start ~addr ~shards ?(balance = `Round_robin) ?(restart = true)
-    ?(sched_workers = 1) ?queue_capacity ?max_batch ?window_us ?cache_capacity
-    ?max_conns () =
+let start ~addr ~shards ?(sched_workers = 1) ?queue_capacity ?max_batch ?window_us
+    ?cache_capacity ?max_conns () =
   if shards < 1 then invalid_arg "Serve.Shard.start: shards < 1";
   (* a send into a shard that died mid-handoff must surface as EPIPE,
      not kill the distributor *)
@@ -316,8 +289,6 @@ let start ~addr ~shards ?(balance = `Round_robin) ?(restart = true)
               next_fork = 0.0;
               pending = false;
             });
-      balance;
-      restart;
       opts;
       wake_r;
       wake_w;

@@ -24,26 +24,18 @@
     incarnation that survives its first second), so a poisoned shard
     cannot pin the distributor in a fork storm.
 
-    Balancing is round-robin by default; [`Hash] instead buckets by
-    the client's peer address so a reconnecting client tends to land
-    on the same shard (and its warm cache).  Unix-domain clients
-    usually have anonymous peer addresses, which hash to one bucket —
-    use [`Hash] only for TCP.
+    Connections are dealt to the shards round-robin.
 
     {!stop} drains gracefully: the listener closes (no new
     connections), then each shard's channel closes — the shard's drain
     signal — and each child finishes every accepted request, answers
     stragglers [Shed "closed"], and exits; the parent reaps them all. *)
 
-type balance = [ `Round_robin | `Hash ]
-
 type t
 
 val start :
   addr:Server.addr ->
   shards:int ->
-  ?balance:balance ->
-  ?restart:bool ->
   ?sched_workers:int ->
   ?queue_capacity:int ->
   ?max_batch:int ->
@@ -54,10 +46,10 @@ val start :
   t
 (** Bind [addr], fork [shards] server processes, and start the
     distributor thread.  Must be called from a process that has never
-    spawned a domain ([Unix.fork] would refuse otherwise).  [restart]
-    (default [true]) re-forks shards that die; [sched_workers] is each
-    shard's scheduler size (default 1); the remaining options are
-    passed through to each shard's {!Server.start_adopted}.
+    spawned a domain ([Unix.fork] would refuse otherwise).  Shards
+    that die are re-forked; [sched_workers] is each shard's scheduler
+    size (default 1); the remaining options are passed through to each
+    shard's {!Server.start_adopted}.
 
     Raises [Invalid_argument] if [shards < 1]. *)
 

@@ -175,12 +175,13 @@ let test_check_report () =
 let test_trace_summary () =
   Obs.Trace.set_enabled true;
   Obs.Trace.clear ();
-  Obs.Metrics.reset ();
+  let reg = Obs.Metrics.global in
+  Obs.Metrics.reset reg;
   Obs.Trace.with_span Obs.Trace.Kernel "outer" (fun () ->
       Obs.Trace.with_span Obs.Trace.Eft "inner" (fun () -> ()));
-  Obs.Metrics.incr (Obs.Metrics.counter "schemas.test.c");
-  Obs.Metrics.set (Obs.Metrics.gauge "schemas.test.g") 1.5;
-  Obs.Metrics.observe (Obs.Metrics.hist "schemas.test.h") 2.0;
+  Obs.Metrics.incr (Obs.Metrics.counter reg "schemas.test.c");
+  Obs.Metrics.set (Obs.Metrics.gauge reg "schemas.test.g") 1.5;
+  Obs.Metrics.observe (Obs.Metrics.hist reg "schemas.test.h") 2.0;
   let dropped = Obs.Trace.dropped () in
   let spans = Obs.Trace.drain () in
   Obs.Trace.set_enabled false;
@@ -197,7 +198,7 @@ let test_trace_summary () =
   in
   let summary =
     Obs.Export.summary ~workload:"schema-test" ~sched ~extra:[ ("overhead", overhead) ] ~spans
-      ~metrics:(Obs.Metrics.snapshot ()) ~dropped ~unbalanced:(Obs.Trace.unbalanced ()) ()
+      ~metrics:(Obs.Metrics.snapshot reg) ~dropped ~unbalanced:(Obs.Trace.unbalanced ()) ()
   in
   S.check ~name:"fpan-trace/1" Obs.Schemas.trace_summary summary;
   S.check ~name:"chrome" Obs.Schemas.chrome_trace (Obs.Export.chrome_trace spans);

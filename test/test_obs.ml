@@ -191,20 +191,24 @@ let test_disabled_mode () =
 (* --- Metrics -------------------------------------------------------- *)
 
 let test_metrics_basic () =
-  M.reset ();
-  let c = M.counter "t.obs.c" in
+  let r = M.create () in
+  let c = M.counter r "t.obs.c" in
   M.add c 5;
   M.incr c;
-  let g = M.gauge "t.obs.g" in
+  let g = M.gauge r "t.obs.g" in
   M.set g 2.5;
-  let h = M.hist "t.obs.h" in
+  let h = M.hist r "t.obs.h" in
   M.observe h 3.0;
   M.observe h 3.5;
   M.observe h 1e30;
-  let snap = M.snapshot () in
+  M.add (M.counter r "t.obs.fam.b") 2;
+  ignore (M.counter r "t.obs.fam.a");
+  let snap = M.snapshot r in
   (match List.assoc "t.obs.c" snap with
   | M.Counter n -> Alcotest.(check int) "counter" 6 n
   | _ -> Alcotest.fail "kind");
+  Alcotest.(check int) "count reads it" 6 (M.count snap "t.obs.c");
+  Alcotest.(check int) "count of an absent name" 0 (M.count snap "t.obs.none");
   (match List.assoc "t.obs.g" snap with
   | M.Gauge v -> Alcotest.(check (float 0.0)) "gauge" 2.5 v
   | _ -> Alcotest.fail "kind");
@@ -214,19 +218,21 @@ let test_metrics_basic () =
       Alcotest.(check int) "3.0 and 3.5 share a binade bucket" 2
         h.M.buckets.(M.bucket_of ~lo_exp:h.M.lo_exp ~hi_exp:h.M.hi_exp 3.0)
   | _ -> Alcotest.fail "kind");
+  Alcotest.(check (list (pair string int))) "a family lists the members that moved"
+    [ ("b", 2) ] (M.family snap "t.obs.fam.");
   Alcotest.check_raises "kind clash rejected"
     (Invalid_argument "Obs.Metrics.gauge: t.obs.c has another kind") (fun () ->
-      ignore (M.gauge "t.obs.c"))
+      ignore (M.gauge r "t.obs.c"))
 
 let test_metrics_multidomain () =
-  M.reset ();
+  let r = M.create () in
   let per_domain = [| 1000; 2000; 3000; 4000 |] in
   let doms =
     Array.map
       (fun n ->
         Domain.spawn (fun () ->
-            let c = M.counter "t.obs.md" in
-            let h = M.hist "t.obs.mdh" in
+            let c = M.counter r "t.obs.md" in
+            let h = M.hist r "t.obs.mdh" in
             for i = 1 to n do
               M.incr c;
               M.observe h (Float.of_int i)
@@ -234,7 +240,7 @@ let test_metrics_multidomain () =
       per_domain
   in
   Array.iter Domain.join doms;
-  let snap = M.snapshot () in
+  let snap = M.snapshot r in
   (match List.assoc "t.obs.md" snap with
   | M.Counter n -> Alcotest.(check int) "sharded counter sums" 10000 n
   | _ -> Alcotest.fail "kind");
@@ -242,39 +248,57 @@ let test_metrics_multidomain () =
   | M.Hist h -> Alcotest.(check int) "sharded histogram sums" 10000 h.M.count
   | _ -> Alcotest.fail "kind"
 
-(* Synthetic snapshots: merging in any order gives the same counters
-   and bucket arrays bitwise (int sums and max are order-independent;
-   float sums agree to rounding, checked loosely). *)
+(* Registries are separate name spaces: the same names in two of them
+   are two metrics, and reading or resetting one leaves the other
+   alone — what keeps two servers in one process apart. *)
+let test_registries_independent () =
+  let a = M.create () and b = M.create () in
+  let bump r n =
+    M.add (M.counter r "t.obs.same") n;
+    M.observe (M.hist r "t.obs.same_h") (Float.of_int n)
+  in
+  let counts r =
+    let snap = M.snapshot r in
+    match List.assoc "t.obs.same_h" snap with
+    | M.Hist h -> (M.count snap "t.obs.same", h.M.count)
+    | _ -> Alcotest.fail "kind"
+  in
+  let check msg expect r = Alcotest.(check (pair int int)) msg expect (counts r) in
+  bump a 3;
+  bump b 5;
+  bump b 1;
+  check "a alone" (3, 1) a;
+  check "b alone" (6, 2) b;
+  check "snapshots change nothing" (3, 1) a;
+  M.reset a;
+  check "a reset" (0, 0) a;
+  check "b untouched by a's reset" (6, 2) b;
+  bump a 2;
+  check "a counts again" (2, 1) a;
+  check "b still untouched" (6, 2) b;
+  Alcotest.(check bool) "nothing reached the global registry" false
+    (List.mem_assoc "t.obs.same" (M.snapshot M.global))
+
+(* Snapshots of fresh registries: merging in any order gives the same
+   counters and bucket arrays bitwise (int sums and max are
+   order-independent; float sums agree to rounding, checked loosely). *)
 let snapshot_gen =
   let open QCheck.Gen in
-  let hist_of obs =
-    List.fold_left
-      (fun (h : M.histogram) v ->
-        let b = M.bucket_of ~lo_exp:h.M.lo_exp ~hi_exp:h.M.hi_exp v in
-        let buckets = Array.copy h.M.buckets in
-        buckets.(b) <- buckets.(b) + 1;
-        { h with
-          M.buckets = buckets;
-          count = h.M.count + 1;
-          sum = h.M.sum +. v;
-          max_v = Float.max h.M.max_v v })
-      { M.lo_exp = -4; hi_exp = 4; buckets = Array.make 10 0; count = 0; sum = 0.0; max_v = 0.0 }
-      obs
-  in
   (* a fixed name pool so snapshots overlap (the interesting case),
      with the kind determined by the name so merges are well-typed *)
-  let entry =
+  let update =
     oneof
-      [ map (fun n -> ("m.counter", M.Counter n)) (int_bound 1000);
-        map (fun f -> ("m.gauge", M.Gauge f)) (float_bound_inclusive 100.0);
+      [ map (fun n r -> M.add (M.counter r "m.counter") n) (int_bound 1000);
+        map (fun f r -> M.set (M.gauge r "m.gauge") f) (float_bound_inclusive 100.0);
         map
-          (fun vs -> ("m.hist", M.Hist (hist_of vs)))
+          (fun vs r -> List.iter (M.observe (M.hist r ~lo_exp:(-4) ~hi_exp:4 "m.hist")) vs)
           (list_size (int_bound 20) (float_bound_inclusive 64.0)) ]
   in
-  list_size (int_bound 4) entry
-  |> map (fun kvs ->
-         (* registry snapshots are sorted and name-unique *)
-         List.sort_uniq (fun (a, _) (b, _) -> compare a b) kvs)
+  list_size (int_bound 4) update
+  |> map (fun updates ->
+         let r = M.create () in
+         List.iter (fun u -> u r) updates;
+         M.snapshot r)
 
 let counters_and_buckets snap =
   List.map
@@ -374,7 +398,7 @@ let test_traced_gemm_agrees_with_sched () =
 (* Fuzz instrumentation: per-class case counters must sum to the
    campaign's case totals. *)
 let test_fuzz_counters () =
-  M.reset ();
+  M.reset M.global;
   with_tracing (fun () ->
       let cfg =
         { Check.Fuzz.default with Check.Fuzz.cases = 64; tiers = [ 2 ]; max_findings = 1 }
@@ -387,7 +411,7 @@ let test_fuzz_counters () =
             | M.Counter n when String.length name >= 10 && String.sub name 0 10 = "fuzz.cases" ->
                 acc + n
             | _ -> acc)
-          0 (M.snapshot ())
+          0 (M.snapshot M.global)
       in
       Alcotest.(check int) "per-class counters sum to case total"
         (r.Check.Fuzz.scalar_cases + r.Check.Fuzz.vector_cases)
@@ -415,6 +439,7 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "basic registry" `Quick test_metrics_basic;
           Alcotest.test_case "multi-domain sharding" `Quick test_metrics_multidomain;
+          Alcotest.test_case "registries are independent" `Quick test_registries_independent;
           q prop_merge_order_independent ] );
       ( "export",
         [ Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip;

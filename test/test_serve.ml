@@ -221,12 +221,12 @@ let fresh_sock () =
   Filename.concat sock_dir
     (Printf.sprintf "serve_test_%d_%d.sock" (Unix.getpid ()) !sock_counter)
 
-let with_server ?queue_capacity ?max_batch ?window_us f =
+let with_server ?queue_capacity ?max_batch ?window_us ?cache_capacity f =
   let path = fresh_sock () in
   Runtime.Sched.with_sched ~workers:2 (fun sched ->
       let srv =
         Serve.Server.start ~sched ~addr:(Serve.Server.Unix_path path) ?queue_capacity
-          ?max_batch ?window_us ()
+          ?max_batch ?window_us ?cache_capacity ()
       in
       Fun.protect
         ~finally:(fun () -> Serve.Server.stop srv)
@@ -239,6 +239,33 @@ let stats_int doc k =
   match Option.bind (J.member k doc) J.to_num with
   | Some f -> int_of_float f
   | None -> Alcotest.fail ("stats missing " ^ k)
+
+let stats_rows doc k =
+  match J.member k doc with
+  | Some (J.List rows) -> rows
+  | _ -> Alcotest.fail ("stats missing " ^ k)
+
+(* The sample count of one [latency_ns] histogram row. *)
+let latency_count doc name =
+  match
+    List.find_opt (fun r -> J.member "name" r = Some (J.Str name)) (stats_rows doc "latency_ns")
+  with
+  | Some row -> stats_int row "count"
+  | None -> Alcotest.fail ("latency_ns has no row " ^ name)
+
+let shed_buckets doc =
+  List.map
+    (fun r ->
+      match J.member "bucket" r with
+      | Some (J.Str b) -> (b, stats_int r "count")
+      | _ -> Alcotest.fail "bucket row without a name")
+    (stats_rows doc "shed_by_bucket")
+
+let shed_total doc =
+  List.fold_left
+    (fun acc k -> acc + stats_int doc k)
+    0
+    [ "shed_full"; "shed_deadline"; "shed_closed"; "shed_displaced" ]
 
 (* --- bitwise server vs scalar over the adversarial corpus ------------ *)
 
@@ -521,22 +548,38 @@ let test_admission_bound () =
           Alcotest.(check bool) "sheds counted" true
             (stats_int doc "shed_full" >= shed_full)))
 
+(* A fixed-tier and an SLA request, both expired on arrival: each is
+   shed "deadline" and counted in its own bucket — the bucket split
+   covers every shed. *)
 let test_deadline_shed () =
-  with_server ~queue_capacity:16 ~max_batch:8 ~window_us:5_000. (fun _srv addr ->
+  with_server ~queue_capacity:16 ~max_batch:8 ~window_us:5_000. (fun srv addr ->
       let cl = Serve.Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Serve.Client.close cl)
         (fun () ->
-          let req =
-            mk_req ~deadline_ms:0.0 ~id:1 ~op:P.Add ~tier:P.Mf2
-              ~x:[| [| 1.0; 0.0 |] |] ~y:[| [| 2.0; 0.0 |] |] ()
+          let reqs =
+            [ mk_req ~deadline_ms:0.0 ~id:1 ~op:P.Add ~tier:P.Mf2
+                ~x:[| [| 1.0; 0.0 |] |] ~y:[| [| 2.0; 0.0 |] |] ();
+              mk_req ~sla:80 ~deadline_ms:0.0 ~id:2 ~op:P.Mul ~tier:P.Mf2
+                ~x:[| [| 1.5; 0.0 |] |] ~y:[| [| 3.0; 0.0 |] |] () ]
           in
-          match Serve.Client.call cl req with
-          | P.Shed { reason = "deadline"; _ } -> ()
-          | P.Shed { reason; _ } -> Alcotest.fail ("wrong reason: " ^ reason)
-          | P.Result _ -> Alcotest.fail "expired deadline was served"
-          | P.Failed { error; _ } -> Alcotest.fail error
-          | P.Stats_reply _ -> Alcotest.fail "stats?"))
+          List.iter
+            (function
+              | P.Shed { reason = "deadline"; _ } -> ()
+              | P.Shed { reason; _ } -> Alcotest.fail ("wrong reason: " ^ reason)
+              | P.Result _ -> Alcotest.fail "expired deadline was served"
+              | P.Failed { error; _ } -> Alcotest.fail error
+              | P.Stats_reply _ -> Alcotest.fail "stats?")
+            (Serve.Client.call_many cl reqs);
+          let doc = Serve.Server.stats_doc srv in
+          Alcotest.(check int) "deadline sheds" 2 (stats_int doc "shed_deadline");
+          let buckets = shed_buckets doc in
+          Alcotest.(check (list (pair string int)))
+            "each deadline shed in its bucket"
+            [ ("fixed", 1); ("q1-50", 0); ("q51-100", 1); ("q101-150", 0); ("q151-200", 0) ]
+            buckets;
+          Alcotest.(check int) "buckets sum to the shed counters" (shed_total doc)
+            (List.fold_left (fun acc (_, n) -> acc + n) 0 buckets)))
 
 (* --- bad input on the wire ------------------------------------------- *)
 
@@ -667,6 +710,14 @@ let test_graceful_drain () =
           Alcotest.(check int) "completed = accepted" (stats_int doc "accepted")
             (stats_int doc "completed");
           Alcotest.(check int) "served = accepted" (stats_int doc "accepted") n_result;
+          (* every accepted request ends exactly one way *)
+          Alcotest.(check int) "accepted = completed + errors + deadline + displaced"
+            (stats_int doc "accepted")
+            (stats_int doc "completed" + stats_int doc "errors"
+            + stats_int doc "shed_deadline" + stats_int doc "shed_displaced");
+          Alcotest.(check int) "one latency sample per completed request"
+            (stats_int doc "completed")
+            (latency_count doc "serve.latency_ns");
           (* the listener is down: connecting now fails *)
           match Serve.Client.connect addr with
           | exception Unix.Unix_error _ -> ()
@@ -706,6 +757,65 @@ let test_drain_all_hook () =
   Alcotest.(check int) "completed = accepted" (stats_int doc "accepted")
     (stats_int doc "completed")
 
+(* --- one registry per server ----------------------------------------- *)
+
+let adds n =
+  List.init n (fun i ->
+      mk_req ~id:(i + 1) ~op:P.Add ~tier:P.Mf2
+        ~x:[| [| float_of_int i; 1e-20 |] |] ~y:[| [| 1.0; 0.0 |] |] ())
+
+let expect_served resps =
+  List.iter
+    (function
+      | P.Result _ -> ()
+      | P.Shed { reason; _ } -> Alcotest.fail ("shed " ^ reason)
+      | P.Failed { error; _ } -> Alcotest.fail error
+      | P.Stats_reply _ -> Alcotest.fail "stats?")
+    resps
+
+(* Two servers alive in one process count into separate registries:
+   traffic sent to one never shows in the other's stats. *)
+let test_servers_isolated () =
+  with_server (fun busy busy_addr ->
+      with_server (fun idle _ ->
+          let cl = Serve.Client.connect busy_addr in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close cl)
+            (fun () ->
+              let n = 12 in
+              expect_served (Serve.Client.call_many cl (adds n));
+              let b = Serve.Server.stats_doc busy and i = Serve.Server.stats_doc idle in
+              Alcotest.(check int) "busy: accepted" n (stats_int b "accepted");
+              Alcotest.(check int) "busy: completed" n (stats_int b "completed");
+              Alcotest.(check int) "busy: latency samples" n
+                (latency_count b "serve.latency_ns");
+              List.iter
+                (fun k -> Alcotest.(check int) ("idle: " ^ k) 0 (stats_int i k))
+                [ "accepted"; "completed"; "batches"; "errors" ];
+              Alcotest.(check int) "idle: no batch sizes" 0
+                (List.length (stats_rows i "batch_histogram"));
+              Alcotest.(check int) "idle: latency samples" 0
+                (latency_count i "serve.latency_ns"))))
+
+(* The process-wide registry holds no serve count: server, batcher,
+   cache and admission all count per server. *)
+let test_no_global_serve_metrics () =
+  with_server ~cache_capacity:64 (fun _srv addr ->
+      let cl = Serve.Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close cl)
+        (fun () ->
+          (* the second pass answers from the cache *)
+          expect_served (Serve.Client.call_many cl (adds 8));
+          expect_served (Serve.Client.call_many cl (adds 8));
+          ignore (Serve.Client.stats cl)));
+  let leaked =
+    List.filter
+      (fun name -> String.starts_with ~prefix:"serve." name)
+      (List.map fst (Obs.Metrics.snapshot Obs.Metrics.global))
+  in
+  Alcotest.(check (list string)) "no serve.* metric in the global registry" [] leaked
+
 let () =
   Alcotest.run "serve"
     [ ( "protocol",
@@ -728,4 +838,8 @@ let () =
           Alcotest.test_case "wire stats" `Quick test_wire_stats ] );
       ( "drain",
         [ Alcotest.test_case "graceful drain zero loss" `Quick test_graceful_drain;
-          Alcotest.test_case "drain_all runs the hook" `Quick test_drain_all_hook ] ) ]
+          Alcotest.test_case "drain_all runs the hook" `Quick test_drain_all_hook ] );
+      ( "registry",
+        [ Alcotest.test_case "servers keep separate stats" `Quick test_servers_isolated;
+          Alcotest.test_case "nothing in the global registry" `Quick
+            test_no_global_serve_metrics ] ) ]

@@ -479,7 +479,7 @@ let ablation_layout () =
         multifloats_row)
     all_kernels;
   print_endline "(the planar path wins twice: no boxed-record pointer chase, and the";
-  print_endline " hand-inlined plane loops replace one non-inlined closure call per";
+  print_endline " straight-line plane loops replace one non-inlined closure call per";
   print_endline " element-op — which is why even the 53-bit row speeds up)"
 
 (* ------------------------------------------------------------------ *)

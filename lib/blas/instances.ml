@@ -175,7 +175,7 @@ end) : Numeric.BATCHED with type t = G.t = struct
   let mul = G.mul
 
   (* Planar layout with element-at-a-time emulated-binary32 arithmetic:
-     no hand-inlined plane kernels for the GPU base type (yet), but the
+     no generated plane kernels for the GPU base type (yet), but the
      same batched code path and accumulation orders. *)
   module V = Multifloat.Batch.Of_scalar (G)
 end

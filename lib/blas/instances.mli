@@ -4,7 +4,7 @@
 
     The MultiFloat types (and native double) additionally satisfy
     {!Numeric.BATCHED}: they advertise a planar
-    (structure-of-arrays) fast path backed by the hand-inlined batch
+    (structure-of-arrays) fast path backed by the generated batch
     kernels in {!Multifloat.Batch}.  Every baseline stays a plain
     {!Numeric.S} and runs the scalar kernels — same kernel code, same
     op-count convention, so the comparison still isolates the cost of
@@ -38,7 +38,7 @@ module Arb208 : Numeric.S with type t = Baselines.Arb.t
 
 (* The emulated-binary32 GPU types (Figure 11): batched through the
    generic planar fallback (element-at-a-time arithmetic, planar
-   layout) rather than hand-inlined plane kernels. *)
+   layout) rather than generated plane kernels. *)
 module Gpu1 : Numeric.BATCHED with type t = Gpu32.Gpu.Mf1.t
 module Gpu2 : Numeric.BATCHED with type t = Gpu32.Gpu.Mf2.t
 module Gpu3 : Numeric.BATCHED with type t = Gpu32.Gpu.Mf3.t

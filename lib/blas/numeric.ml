@@ -25,7 +25,7 @@ end
 
 (** Planar (structure-of-arrays) vectors over an arithmetic: the
     batched counterpart of an element array, mirroring
-    {!Multifloat.Batch.V} so the hand-inlined planar MultiFloat
+    {!Multifloat.Batch.V} so the generated planar MultiFloat
     kernels plug in directly.  The fold and update operations fix the
     accumulation order of the scalar kernels in {!Kernels.Make}, which
     is what makes batched results bitwise equal to the scalar path. *)

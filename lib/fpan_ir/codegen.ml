@@ -1,20 +1,32 @@
 (* Staging by codegen: emit IR programs as straight-line OCaml float
-   code, and assemble lib/multifloat/batch.ml from them.
+   code, and assemble the two generated modules of lib/multifloat from
+   them: scalar.ml (the Mf2/Mf3/Mf4 kernels) and batch.ml (the planar
+   vectors).  This is the only place a kernel's gate sequence is
+   written down; dune rules in lib/multifloat/dune run gen/gen_scalar.exe
+   and gen/gen_batch.exe at build time, and neither file is checked in.
 
-   [emit_program] is the per-program emitter; it reproduces the naming
-   scheme of the hand-expanded kernels (one monotone counter per
-   program, letter by gate kind: TwoSum -> s/t/e, FastTwoSum -> s/e,
-   TwoProd -> p/e, Mul -> m, Add -> a, Neg -> n, Const -> c) so the
-   generated file diffs cleanly against history.  [batch_ml] renders
-   the whole file: fixed templates for the module plumbing, emitted
-   programs for every kernel loop body.  The drift rule in
-   lib/multifloat/dune diffs the committed batch.ml against a fresh
-   run of gen/gen_batch.exe on every `dune runtest`. *)
+   [emit_program] is the per-program emitter: one let-binding per
+   intermediate, named by a per-program counter and a letter by gate
+   kind (TwoSum -> s/t/e, FastTwoSum -> s/e, TwoProd -> p/e plus k/h/l
+   for Dekker splits, Mul -> m, Add -> a, Neg -> n, Const -> c), so the
+   emitted code reads gate for gate against [Ir.pp]'s listing.
+   [scalar_ml] and [batch_ml] render the files: fixed templates for the
+   module plumbing, emitted programs for every kernel body. *)
 
 let spf = Printf.sprintf
 let bpf = Printf.bprintf
 
-let emit_program buf ~indent ~prefix (p : Ir.t) ~(args : string array) : string array =
+(* How a [Two_prod] gate is realised: the error term by one fused
+   multiply-add, or by Veltkamp-Dekker splitting in
+   [Eft.two_prod_dekker]'s operation order (the multiplication kernel
+   for hardware without an FMA). *)
+type two_prod = Fma | Dekker
+
+(* 2^27 + 1: [Eft.split]'s Veltkamp constant for p = 53. *)
+let splitter = 134217729.0
+
+let emit_program ?(two_prod = Fma) buf ~indent ~prefix (p : Ir.t) ~(args : string array) :
+    string array =
   if Array.length args <> p.Ir.num_inputs then
     invalid_arg
       (spf "Fpan_ir.Codegen.emit_program: %s wants %d args, got %d" p.Ir.name p.Ir.num_inputs
@@ -30,6 +42,16 @@ let emit_program buf ~indent ~prefix (p : Ir.t) ~(args : string array) : string 
     Buffer.add_string buf indent;
     Buffer.add_string buf l;
     Buffer.add_char buf '\n'
+  in
+  (* [Eft.split x]: (hi, lo) with x = hi + lo exactly *)
+  let split x =
+    let t = fresh "k" in
+    line (spf "let %s = %h *. %s in" t splitter x);
+    let hi = fresh "h" in
+    line (spf "let %s = %s -. (%s -. %s) in" hi t t x);
+    let lo = fresh "l" in
+    line (spf "let %s = %s -. %s in" lo x hi);
+    (hi, lo)
   in
   Array.iteri
     (fun i g ->
@@ -50,13 +72,23 @@ let emit_program buf ~indent ~prefix (p : Ir.t) ~(args : string array) : string 
           let e = fresh "e" in
           line (spf "let %s = %s -. (%s -. %s) in" e b s a);
           names.(i) <- [| s; e |]
-      | Ir.Two_prod (a, b) ->
+      | Ir.Two_prod (a, b) -> (
           let a = v a and b = v b in
           let pr = fresh "p" in
           line (spf "let %s = %s *. %s in" pr a b);
-          let e = fresh "e" in
-          line (spf "let %s = Float.fma %s %s (-. %s) in" e a b pr);
-          names.(i) <- [| pr; e |]
+          match two_prod with
+          | Fma ->
+              let e = fresh "e" in
+              line (spf "let %s = Float.fma %s %s (-. %s) in" e a b pr);
+              names.(i) <- [| pr; e |]
+          | Dekker ->
+              let ah, al = split a in
+              let bh, bl = split b in
+              let e = fresh "e" in
+              line
+                (spf "let %s = ((((%s *. %s) -. %s) +. (%s *. %s)) +. (%s *. %s)) +. (%s *. %s) in"
+                   e ah bh pr ah bl al bh al bl);
+              names.(i) <- [| pr; e |])
       | Ir.Add (a, b) ->
           let a = v a and b = v b in
           let n = fresh "a" in
@@ -126,7 +158,9 @@ let acc_stores buf tr (outs : string array) =
 
 let of_accs tr = spf "%s.of_components [| %s |]" tr.mf (cat "; " tr.t (fun k -> spf "!acc%d" k))
 
-(* add / sub / mul: dst-writing elementwise kernels *)
+(* Every loop body below is one program, emitted in one call: the
+   dst-writing elementwise kernels (add / sub / mul) run a Front kernel,
+   the others the Fuse chain that lib/verify proves. *)
 let emit_ew buf tr ~name ~prog ~neg_y =
   bpf buf "  let %s ~dst a b =\n" name;
   bpf buf "    check2 \"Batch.%s\" a b;\n" name;
@@ -151,15 +185,11 @@ let emit_axpy buf tr =
   bpf buf "    for i = lo to hi - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"i" ~neg:false;
   loads buf tr ~local:"y" ~plane:"b" ~idx:"i" ~neg:false;
-  let p =
-    emit_program buf ~indent:"      " ~prefix:"p" (Front.mul_kernel tr.t)
-      ~args:(Array.append (names "al" tr) (names "x" tr))
+  let outs =
+    emit_program buf ~indent:"      " ~prefix:"v" (Fuse.axpy tr.t)
+      ~args:(Array.concat [ names "al" tr; names "x" tr; names "y" tr ])
   in
-  let q =
-    emit_program buf ~indent:"      " ~prefix:"q" (Front.add_kernel tr.t)
-      ~args:(Array.append p (names "y" tr))
-  in
-  stores buf tr ~plane:"b" ~idx:"i" q;
+  stores buf tr ~plane:"b" ~idx:"i" outs;
   bpf buf "      ()\n    done\n"
 
 let emit_madd buf tr =
@@ -171,31 +201,23 @@ let emit_madd buf tr =
   bpf buf "    for i = 0 to len - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"(xoff + i)" ~neg:false;
   loads buf tr ~local:"y" ~plane:"b" ~idx:"(yoff + i)" ~neg:false;
-  let p =
-    emit_program buf ~indent:"      " ~prefix:"p" (Front.mul_kernel tr.t)
-      ~args:(Array.append (names "al" tr) (names "x" tr))
+  let outs =
+    emit_program buf ~indent:"      " ~prefix:"v" (Fuse.madd tr.t)
+      ~args:(Array.concat [ names "al" tr; names "x" tr; names "y" tr ])
   in
-  let q =
-    emit_program buf ~indent:"      " ~prefix:"q" (Front.add_kernel tr.t)
-      ~args:(Array.append (names "y" tr) p)
-  in
-  stores buf tr ~plane:"b" ~idx:"(yoff + i)" q;
+  stores buf tr ~plane:"b" ~idx:"(yoff + i)" outs;
   bpf buf "      ()\n    done\n"
 
-(* shared dot loop: p = x*y products, q = acc + p; updates acc refs *)
+(* shared dot loop: acc <- acc + x*y, the dot_step chain *)
 let emit_dot_loop buf tr =
   bpf buf "    for i = 0 to len - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"(xoff + i)" ~neg:false;
   loads buf tr ~local:"y" ~plane:"b" ~idx:"(yoff + i)" ~neg:false;
-  let p =
-    emit_program buf ~indent:"      " ~prefix:"p" (Front.mul_kernel tr.t)
-      ~args:(Array.append (names "x" tr) (names "y" tr))
+  let outs =
+    emit_program buf ~indent:"      " ~prefix:"v" (Fuse.dot_step tr.t)
+      ~args:(Array.concat [ acc_names tr; names "x" tr; names "y" tr ])
   in
-  let q =
-    emit_program buf ~indent:"      " ~prefix:"q" (Front.add_kernel tr.t)
-      ~args:(Array.append (acc_names tr) p)
-  in
-  acc_stores buf tr q;
+  acc_stores buf tr outs;
   bpf buf "      ()\n    done"
 
 let emit_dot buf tr =
@@ -217,7 +239,7 @@ let emit_sum buf tr =
   bpf buf "    for i = 0 to len - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"(xoff + i)" ~neg:false;
   let outs =
-    emit_program buf ~indent:"      " ~prefix:"v" (Front.add_kernel tr.t)
+    emit_program buf ~indent:"      " ~prefix:"v" (Fuse.sum_step tr.t)
       ~args:(Array.append (acc_names tr) (names "x" tr))
   in
   acc_stores buf tr outs;
@@ -235,7 +257,7 @@ let emit_dot_sub buf tr =
   bpf buf "    let bc = %s.components b in\n" tr.mf;
   bpf buf "    let %s in\n" (cat " and " tr.t (fun k -> spf "bb%d = bc.(%d)" k k));
   let outs =
-    emit_program buf ~indent:"    " ~prefix:"r" (Front.sub_kernel tr.t)
+    emit_program buf ~indent:"    " ~prefix:"v" (Fuse.residual_tail tr.t)
       ~args:(Array.append (names "bb" tr) (acc_names tr))
   in
   bpf buf "    %s.of_components [| %s |]\n" tr.mf (String.concat "; " (Array.to_list outs))
@@ -253,24 +275,13 @@ let emit_axpy_dot buf tr =
   loads buf tr ~local:"x" ~plane:"a" ~idx:"i" ~neg:false;
   loads buf tr ~local:"y" ~plane:"b" ~idx:"i" ~neg:false;
   loads buf tr ~local:"z" ~plane:"w" ~idx:"i" ~neg:false;
-  let p =
-    emit_program buf ~indent:"      " ~prefix:"p" (Front.mul_kernel tr.t)
-      ~args:(Array.append (names "al" tr) (names "x" tr))
+  (* outputs: y' @ acc' *)
+  let outs =
+    emit_program buf ~indent:"      " ~prefix:"v" (Fuse.axpy_dot_step tr.t)
+      ~args:(Array.concat [ names "al" tr; names "x" tr; names "y" tr; names "z" tr; acc_names tr ])
   in
-  let q =
-    emit_program buf ~indent:"      " ~prefix:"q" (Front.add_kernel tr.t)
-      ~args:(Array.append p (names "y" tr))
-  in
-  let r =
-    emit_program buf ~indent:"      " ~prefix:"r" (Front.mul_kernel tr.t)
-      ~args:(Array.append q (names "z" tr))
-  in
-  let s =
-    emit_program buf ~indent:"      " ~prefix:"s" (Front.add_kernel tr.t)
-      ~args:(Array.append (acc_names tr) r)
-  in
-  stores buf tr ~plane:"b" ~idx:"i" q;
-  acc_stores buf tr s;
+  stores buf tr ~plane:"b" ~idx:"i" (Array.sub outs 0 tr.t);
+  acc_stores buf tr (Array.sub outs tr.t tr.t);
   bpf buf "      ()\n    done;\n";
   bpf buf "    %s\n" (of_accs tr)
 
@@ -347,13 +358,14 @@ let header =
    [floatarray]s, one per expansion component, instead of an OCaml
    array of boxed component records.
 
-   The batched operations below run the exact branch-free FPAN wire
-   sequences of [Mf2]/[Mf3]/[Mf4] element-wise over the planes, with
+   The batched operations below run the branch-free FPAN wire
+   programs of [Mf2]/[Mf3]/[Mf4] element-wise over the planes, with
    every TwoSum/FastTwoSum/TwoProd gate expanded to straight-line
    float code (no tuple returns, no per-element heap allocation; OCaml
-   unboxes the local floats and float refs).  Gate order and operand
-   order are identical to the scalar kernels, so batched results are
-   bitwise equal to the scalar loops -- asserted by test/test_batch.ml.
+   unboxes the local floats and float refs).  The scalar kernels are
+   emitted from the same programs by the same emitter, so batched
+   results are bitwise equal to the scalar loops by construction
+   (test/test_batch.ml and test/test_edge_semantics.ml check it).
 
    This is the OCaml stand-in for the paper's cross-element
    autovectorization (Section 5): branch-freedom makes the element loop
@@ -361,13 +373,11 @@ let header =
    stream through the FPU without pointer chasing -- the same reason the
    paper's AVX-512/NEON lanes want their operands planar.
 
-   GENERATED by lib/fpan_ir/gen/gen_batch.ml: Fpan_ir.Front derives an
-   IR program gate-for-gate from each Fpan.Networks network, and
-   Fpan_ir.Codegen stages the (fused) programs as the straight-line
-   kernels below.  Do not edit this file by hand -- edit the generator
-   and run `dune runtest` (whose drift rule diffs this file against a
-   fresh regeneration), then `dune promote` to accept the new
-   output. *)
+   GENERATED at build time by lib/fpan_ir/gen/gen_batch.ml:
+   Fpan_ir.Front derives an IR program gate-for-gate from each
+   Fpan.Networks network, Fpan_ir.Fuse composes the fused loop bodies,
+   and Fpan_ir.Codegen stages them as the straight-line kernels below.
+   To change a kernel, edit the generator. *)
 
 module F = Float.Array
 
@@ -753,4 +763,81 @@ let batch_ml () =
       emit_tier buf tr)
     tiers;
   Buffer.add_string buf footer;
+  Buffer.contents buf
+
+(* --- scalar.ml assembly ---------------------------------------------- *)
+
+(* min of the add and mul networks' verified exponents: the bound
+   [Kernel.KERNEL.error_exp] promises for both *)
+let error_exp t =
+  min (Fpan.Networks.add t).Fpan.Network.error_exp (Fpan.Networks.mul t).Fpan.Network.error_exp
+
+let record tr f = spf "{ %s }" (cat "; " tr.t (fun k -> spf "c%d = %s" k (f k)))
+
+(* [a op b] on records: operand loads bound first, as the planar loop
+   body binds its plane loads -- [sub] is the add program over negated
+   loads of [b], exactly like [Batch]'s [sub] -- so scalar and planar
+   kernels compile the same float operations in the same operand
+   order, NaN payloads included. *)
+let emit_scalar_op ?two_prod buf tr ~name ~prog ~neg_y =
+  bpf buf "  let %s a b =\n" name;
+  for k = 0 to tr.t - 1 do
+    bpf buf "    let x%d = a.c%d in\n" k k
+  done;
+  for k = 0 to tr.t - 1 do
+    bpf buf "    let y%d = %sb.c%d in\n" k (if neg_y then "-." else "") k
+  done;
+  let outs =
+    emit_program ?two_prod buf ~indent:"    " ~prefix:"v" prog
+      ~args:(Array.append (names "x" tr) (names "y" tr))
+  in
+  bpf buf "    %s\n" (record tr (Array.get outs))
+
+let emit_scalar_tier buf tr =
+  bpf buf "module K%d = struct\n" tr.t;
+  bpf buf "  type t = { %s }\n\n" (cat "; " tr.t (spf "c%d : float"));
+  bpf buf "  let terms = %d\n" tr.t;
+  bpf buf "  let precision_bits = %d\n" ((53 * tr.t) + tr.t - 1);
+  bpf buf "  let error_exp = %d\n" (error_exp tr.t);
+  bpf buf "  let zero = %s\n" (record tr (fun _ -> "0.0"));
+  bpf buf "  let of_float x = %s\n" (record tr (fun k -> if k = 0 then "x" else "0.0"));
+  bpf buf "  let to_float a = a.c0\n";
+  bpf buf "  let components a = [| %s |]\n\n" (cat "; " tr.t (spf "a.c%d"));
+  bpf buf "  let of_components c =\n";
+  bpf buf "    assert (Array.length c = %d);\n" tr.t;
+  bpf buf "    %s\n\n" (record tr (spf "c.(%d)"));
+  bpf buf "  let neg a = %s\n" (record tr (spf "-.a.c%d"));
+  bpf buf "  let scale_pow2 a k = %s\n\n" (record tr (spf "Float.ldexp a.c%d k"));
+  emit_scalar_op buf tr ~name:"add" ~prog:(Front.add_kernel tr.t) ~neg_y:false;
+  bpf buf "\n";
+  emit_scalar_op buf tr ~name:"sub" ~prog:(Front.add_kernel tr.t) ~neg_y:true;
+  bpf buf "\n";
+  emit_scalar_op buf tr ~name:"mul" ~prog:(Front.mul_kernel tr.t) ~neg_y:false;
+  bpf buf "\n";
+  emit_scalar_op ~two_prod:Dekker buf tr ~name:"mul_no_fma" ~prog:(Front.mul_kernel tr.t)
+    ~neg_y:false;
+  bpf buf "end\n"
+
+let scalar_header =
+  {|(* Scalar MultiFloat kernels: one module per expansion length, each
+   satisfying [Kernel.KERNEL], that [Mf2]/[Mf3]/[Mf4] complete through
+   [Ops.Make].  A value is a record of unboxed floats, leading
+   (largest-magnitude) component first.  [add]/[sub]/[mul] run the
+   FPAN wire programs with every gate expanded to straight-line float
+   code; [mul_no_fma] is the [mul] program with each TwoProd realised
+   by Veltkamp-Dekker splitting instead of a fused multiply-add.
+
+   GENERATED at build time by lib/fpan_ir/gen/gen_scalar.ml from the
+   same IR programs, through the same emitter, as the planar kernels in
+   batch.ml.  To change a kernel, edit the generator. *)
+|}
+
+let scalar_ml () =
+  let buf = Buffer.create (1 lsl 16) in
+  Buffer.add_string buf scalar_header;
+  List.iter
+    (fun tr ->
+      Buffer.add_string buf "\n";
+      emit_scalar_tier buf tr)
+    tiers;
   Buffer.contents buf

@@ -60,12 +60,12 @@ let of_network (net : Fpan.Network.t) : Ir.t =
    products.
 
    One deliberate deviation: [mul_expand] flushes each order's error
-   terms in descending i, while the scalar kernels (mf3.ml/mf4.ml) --
-   and hence the generated planar kernels -- consume them ascending.
+   terms in descending i, while this replay pushes them ascending, the
+   order the emitted kernels (scalar and planar alike) consume them in.
    The two layouts are bitwise-equal: the error wires only ever feed
    Add and TwoSum gates, plain [+.] is commutative on these values,
    and the 6-op TwoSum's outputs (sum, exact error) are symmetric in
-   its operands.  We follow the scalar kernels' ascending order. *)
+   its operands. *)
 let inline_mul_expand b n (x : Ir.value array) (y : Ir.value array) : Ir.value array =
   let out = ref [] in
   let push v = out := v :: !out in
@@ -110,8 +110,11 @@ let add_kernel t : Ir.t =
   let outs = inline_network b (Fpan.Networks.add t) (interleave t x y) in
   Ir.B.finish b ~name:(Printf.sprintf "add%d" t) ~outputs:outs
 
-(* a - b as the add network on (a, -b): exactly the scalar kernels'
-   [sub a b = add_terms a0 a1 (-.b0) (-.b1)]. *)
+(* a - b as the add network on (a, -b), negated by explicit Neg gates:
+   the residual_tail chain.  The elementwise [sub] kernels instead run
+   [add_kernel] over negated operand loads (Codegen); the values are the
+   same, and keeping one form there keeps scalar and planar NaN
+   payloads equal. *)
 let sub_kernel t : Ir.t =
   let b = Ir.B.create ~num_inputs:(2 * t) in
   let x = Array.init t (fun i -> Ir.In i) in

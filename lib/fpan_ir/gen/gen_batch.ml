@@ -1,4 +1,3 @@
-(* Regenerates lib/multifloat/batch.ml on stdout.  Wired into
-   lib/multifloat/dune as a drift rule: `dune runtest` diffs the
-   committed file against this output, `dune promote` accepts it. *)
+(* Prints lib/multifloat/batch.ml; a dune rule there runs it at build
+   time. *)
 let () = print_string (Fpan_ir.Codegen.batch_ml ())

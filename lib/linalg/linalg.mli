@@ -76,7 +76,7 @@ end
 (** {!Refine} over a planar (structure-of-arrays) layout: the
     extended-precision matrix and solution are stored as
     {!Multifloat.Batch.V} vectors and the residual — the hot loop of
-    refinement — is computed row-wise with the hand-inlined planar dot
+    refinement — is computed row-wise with the generated planar dot
     kernel.  Arithmetic and accumulation orders match {!Refine}
     exactly, so solutions and stats are bitwise identical; only the
     memory layout changes. *)

@@ -4,7 +4,7 @@
     extended-precision arithmetic on machines that lack double-precision
     hardware").
 
-    Unlike the hand-inlined {!Mf2}/{!Mf3}/{!Mf4} kernels, this
+    Unlike the IR-emitted {!Mf2}/{!Mf3}/{!Mf4} kernels, this
     implementation represents expansions as arrays, supports any
     [N >= 1], and uses the straightforward [n^2]-product expansion step
     without the magnitude cutoff, trading speed for generality.  It is

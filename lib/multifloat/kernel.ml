@@ -1,6 +1,8 @@
-(** The minimal operations a MultiFloat size provides by hand-inlined
-    branch-free code; {!Ops.Make} derives the rest of the public API
-    (division, square root, comparisons, decimal I/O) from these. *)
+(** The minimal operations a MultiFloat size provides as branch-free
+    code emitted from the FPAN wire-program IR (the generated [Scalar]
+    modules behind {!Mf2}/{!Mf3}/{!Mf4}); {!Ops.Make} derives the rest
+    of the public API (float operands, division, square root,
+    comparisons, decimal I/O) from these. *)
 
 module type KERNEL = sig
   type t
@@ -36,9 +38,6 @@ module type KERNEL = sig
   val sub : t -> t -> t
   val mul : t -> t -> t
   val neg : t -> t
-  val add_float : t -> float -> t
-  val sub_float : t -> float -> t
-  val mul_float : t -> float -> t
 
   val scale_pow2 : t -> int -> t
   (** Exact multiplication by [2^k] (termwise [ldexp]; exact as long as

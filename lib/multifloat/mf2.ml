@@ -1,69 +1,6 @@
-(* Hand-inlined transcriptions of the add2/mul2 networks
-   (Fpan.Networks); wire variables [wN] follow the network diagrams. *)
+(* The add2/mul2 kernels are emitted from the FPAN wire-program IR at
+   build time (Scalar.K2, see lib/fpan_ir/codegen.ml). *)
 
-module K = struct
-  type t = { hi : float; lo : float }
+include Ops.Make (Scalar.K2)
 
-  let terms = 2
-  let precision_bits = 107
-  let error_exp = 103 (* min of add (105) and mul (103) *)
-  let zero = { hi = 0.0; lo = 0.0 }
-  let of_float x = { hi = x; lo = 0.0 }
-  let to_float a = a.hi
-  let components a = [| a.hi; a.lo |]
-
-  let of_components c =
-    assert (Array.length c = 2);
-    { hi = c.(0); lo = c.(1) }
-
-  let add_terms x0 x1 y0 y1 =
-    let w0, w1 = Eft.two_sum x0 y0 in
-    let w2, w3 = Eft.two_sum x1 y1 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w1 = w1 +. w3 in
-    let w2 = w2 +. w1 in
-    let hi, lo = Eft.fast_two_sum w0 w2 in
-    { hi; lo }
-
-  let add a b = add_terms a.hi a.lo b.hi b.lo
-  let sub a b = add_terms a.hi a.lo (-.b.hi) (-.b.lo)
-
-  let mul a b =
-    let p00, e00 = Eft.two_prod a.hi b.hi in
-    let t = (a.hi *. b.lo) +. (a.lo *. b.hi) in
-    let u = t +. e00 in
-    let hi, lo = Eft.fast_two_sum p00 u in
-    { hi; lo }
-
-  let neg a = { hi = -.a.hi; lo = -.a.lo }
-
-  let add_float a f =
-    (* add2 with y1 = 0: one TwoSum and one Add drop out. *)
-    let s0, e0 = Eft.two_sum a.hi f in
-    let v, vl = Eft.two_sum s0 a.lo in
-    let w = vl +. e0 in
-    let hi, lo = Eft.fast_two_sum v w in
-    { hi; lo }
-
-  let sub_float a f = add_float a (-.f)
-
-  let mul_float a f =
-    (* mul2 with y1 = 0: the p01 product drops out. *)
-    let p00, e00 = Eft.two_prod a.hi f in
-    let u = (a.lo *. f) +. e00 in
-    let hi, lo = Eft.fast_two_sum p00 u in
-    { hi; lo }
-
-  let scale_pow2 a k = { hi = Float.ldexp a.hi k; lo = Float.ldexp a.lo k }
-end
-
-include Ops.Make (K)
-
-(* The multiplication kernel for hardware without a fused multiply-add:
-   identical network, TwoProd realized by Veltkamp-Dekker splitting. *)
-let mul_no_fma (a : K.t) (b : K.t) : K.t =
-  let p00, e00 = Eft.two_prod_dekker a.K.hi b.K.hi in
-  let t = (a.K.hi *. b.K.lo) +. (a.K.lo *. b.K.hi) in
-  let u = t +. e00 in
-  let hi, lo = Eft.fast_two_sum p00 u in
-  { K.hi; K.lo }
+let mul_no_fma = Scalar.K2.mul_no_fma

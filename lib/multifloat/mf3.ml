@@ -1,113 +1,6 @@
-(* Hand-inlined transcriptions of the add3/mul3 networks
-   (Fpan.Networks); wire variables [wN] follow the network diagrams. *)
+(* The add3/mul3 kernels are emitted from the FPAN wire-program IR at
+   build time (Scalar.K3, see lib/fpan_ir/codegen.ml). *)
 
-module K = struct
-  type t = { x0 : float; x1 : float; x2 : float }
+include Ops.Make (Scalar.K3)
 
-  let terms = 3
-  let precision_bits = 161
-  let error_exp = 156
-  let zero = { x0 = 0.0; x1 = 0.0; x2 = 0.0 }
-  let of_float x = { x0 = x; x1 = 0.0; x2 = 0.0 }
-  let to_float a = a.x0
-  let components a = [| a.x0; a.x1; a.x2 |]
-
-  let of_components c =
-    assert (Array.length c = 3);
-    { x0 = c.(0); x1 = c.(1); x2 = c.(2) }
-
-  let add_terms ax0 ax1 ax2 bx0 bx1 bx2 =
-    let w0, w1 = Eft.two_sum ax0 bx0 in
-    let w2, w3 = Eft.two_sum ax1 bx1 in
-    let w4, w5 = Eft.two_sum ax2 bx2 in
-    let w2, w1 = Eft.two_sum w2 w1 in
-    let w4, w3 = Eft.two_sum w4 w3 in
-    let w4, w1 = Eft.two_sum w4 w1 in
-    let w3 = w3 +. w1 in
-    let w3 = w3 +. w5 in
-    let w4, w3 = Eft.two_sum w4 w3 in
-    let w2, w4 = Eft.two_sum w2 w4 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w4, w3 = Eft.two_sum w4 w3 in
-    let w2, w4 = Eft.two_sum w2 w4 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w4, w3 = Eft.two_sum w4 w3 in
-    let w2, w4 = Eft.two_sum w2 w4 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w4 = w4 +. w3 in
-    { x0 = w0; x1 = w2; x2 = w4 }
-
-  let add a b = add_terms a.x0 a.x1 a.x2 b.x0 b.x1 b.x2
-  let sub a b = add_terms a.x0 a.x1 a.x2 (-.b.x0) (-.b.x1) (-.b.x2)
-
-  let mul a b =
-    (* Expansion step (Section 4.2): 3 TwoProds, 3 plain products. *)
-    let w0, w3 = Eft.two_prod a.x0 b.x0 in
-    let w1, w7 = Eft.two_prod a.x0 b.x1 in
-    let w2, w8 = Eft.two_prod a.x1 b.x0 in
-    let w4 = a.x0 *. b.x2 in
-    let w5 = a.x1 *. b.x1 in
-    let w6 = a.x2 *. b.x0 in
-    (* Accumulation FPAN (mul3). *)
-    let w1, w2 = Eft.two_sum w1 w2 in
-    let w1, w3 = Eft.two_sum w1 w3 in
-    let w4 = w4 +. w6 in
-    let w4 = w4 +. w5 in
-    let w7 = w7 +. w8 in
-    let w4 = w4 +. w7 in
-    let w2 = w2 +. w3 in
-    let w4 = w4 +. w2 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w0, w1 = Eft.two_sum w0 w1 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w0, w1 = Eft.two_sum w0 w1 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    { x0 = w0; x1 = w1; x2 = w4 }
-
-  let neg a = { x0 = -.a.x0; x1 = -.a.x1; x2 = -.a.x2 }
-  let add_float a f = add a (of_float f)
-  let sub_float a f = add a (of_float (-.f))
-
-  let mul_float a f =
-    (* mul3 with y1 = y2 = 0: p01, p02, p11, e01 drop out. *)
-    let w0, w3 = Eft.two_prod a.x0 f in
-    let w2, w8 = Eft.two_prod a.x1 f in
-    let w4 = a.x2 *. f in
-    let w2, w3 = Eft.two_sum w2 w3 in
-    let w4 = w4 +. w8 in
-    let w4 = w4 +. w3 in
-    let w2, w4 = Eft.two_sum w2 w4 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w2, w4 = Eft.two_sum w2 w4 in
-    { x0 = w0; x1 = w2; x2 = w4 }
-
-  let scale_pow2 a k =
-    { x0 = Float.ldexp a.x0 k; x1 = Float.ldexp a.x1 k; x2 = Float.ldexp a.x2 k }
-
-  let mul_with two_prod a b =
-    let w0, w3 = two_prod a.x0 b.x0 in
-    let w1, w7 = two_prod a.x0 b.x1 in
-    let w2, w8 = two_prod a.x1 b.x0 in
-    let w4 = a.x0 *. b.x2 in
-    let w5 = a.x1 *. b.x1 in
-    let w6 = a.x2 *. b.x0 in
-    let w1, w2 = Eft.two_sum w1 w2 in
-    let w1, w3 = Eft.two_sum w1 w3 in
-    let w4 = w4 +. w6 in
-    let w4 = w4 +. w5 in
-    let w7 = w7 +. w8 in
-    let w4 = w4 +. w7 in
-    let w2 = w2 +. w3 in
-    let w4 = w4 +. w2 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w0, w1 = Eft.two_sum w0 w1 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w0, w1 = Eft.two_sum w0 w1 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    { x0 = w0; x1 = w1; x2 = w4 }
-end
-
-include Ops.Make (K)
-
-(* Multiplication for hardware without a fused multiply-add. *)
-let mul_no_fma (a : K.t) (b : K.t) : K.t = K.mul_with Eft.two_prod_dekker a b
+let mul_no_fma = Scalar.K3.mul_no_fma

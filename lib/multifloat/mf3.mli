@@ -1,8 +1,10 @@
 (** Three-term floating-point expansions: ~161-bit (sextuple) precision.
 
     Branch-free arithmetic from the reconstructed 3-term FPANs (Figures
-    3 and 6 of the paper), checked against the [Fpan] interpreter and
-    verified to the paper's error bounds (2^-156 relative). *)
+    3 and 6 of the paper), emitted from the FPAN wire-program IR at
+    build time by the same emitter as the planar {!Batch.Mf3v}, checked
+    against the [Fpan] interpreter and verified to the paper's error
+    bounds (2^-156 relative). *)
 
 include Ops.S
 

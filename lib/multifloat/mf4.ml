@@ -1,176 +1,6 @@
-(* Hand-inlined transcriptions of the add4/mul4 networks
-   (Fpan.Networks); wire variables [wN] follow the network diagrams. *)
+(* The add4/mul4 kernels are emitted from the FPAN wire-program IR at
+   build time (Scalar.K4, see lib/fpan_ir/codegen.ml). *)
 
-module K = struct
-  type t = { x0 : float; x1 : float; x2 : float; x3 : float }
+include Ops.Make (Scalar.K4)
 
-  let terms = 4
-  let precision_bits = 215
-  let error_exp = 208
-  let zero = { x0 = 0.0; x1 = 0.0; x2 = 0.0; x3 = 0.0 }
-  let of_float x = { x0 = x; x1 = 0.0; x2 = 0.0; x3 = 0.0 }
-  let to_float a = a.x0
-  let components a = [| a.x0; a.x1; a.x2; a.x3 |]
-
-  let of_components c =
-    assert (Array.length c = 4);
-    { x0 = c.(0); x1 = c.(1); x2 = c.(2); x3 = c.(3) }
-
-  let add_terms ax0 ax1 ax2 ax3 bx0 bx1 bx2 bx3 =
-    let w0, w1 = Eft.two_sum ax0 bx0 in
-    let w2, w3 = Eft.two_sum ax1 bx1 in
-    let w4, w5 = Eft.two_sum ax2 bx2 in
-    let w6, w7 = Eft.two_sum ax3 bx3 in
-    let w2, w1 = Eft.two_sum w2 w1 in
-    let w4, w3 = Eft.two_sum w4 w3 in
-    let w6, w5 = Eft.two_sum w6 w5 in
-    let w4, w1 = Eft.two_sum w4 w1 in
-    let w6, w3 = Eft.two_sum w6 w3 in
-    let w6, w1 = Eft.two_sum w6 w1 in
-    let w3 = w3 +. w1 in
-    let w5 = w5 +. w7 in
-    let w3 = w3 +. w5 in
-    let w6, w3 = Eft.two_sum w6 w3 in
-    let w4, w6 = Eft.two_sum w4 w6 in
-    let w2, w4 = Eft.two_sum w2 w4 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w6, w3 = Eft.two_sum w6 w3 in
-    let w4, w6 = Eft.two_sum w4 w6 in
-    let w2, w4 = Eft.two_sum w2 w4 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w6, w3 = Eft.two_sum w6 w3 in
-    let w4, w6 = Eft.two_sum w4 w6 in
-    let w2, w4 = Eft.two_sum w2 w4 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w6 = w6 +. w3 in
-    let w4, w6 = Eft.two_sum w4 w6 in
-    let w2, w4 = Eft.two_sum w2 w4 in
-    { x0 = w0; x1 = w2; x2 = w4; x3 = w6 }
-
-  let add a b = add_terms a.x0 a.x1 a.x2 a.x3 b.x0 b.x1 b.x2 b.x3
-  let sub a b = add_terms a.x0 a.x1 a.x2 a.x3 (-.b.x0) (-.b.x1) (-.b.x2) (-.b.x3)
-
-  let mul a b =
-    (* Expansion step: 6 TwoProds, 4 plain products. *)
-    let w0, w3 = Eft.two_prod a.x0 b.x0 in
-    let w1, w7 = Eft.two_prod a.x0 b.x1 in
-    let w2, w8 = Eft.two_prod a.x1 b.x0 in
-    let w4, w13 = Eft.two_prod a.x0 b.x2 in
-    let w5, w14 = Eft.two_prod a.x1 b.x1 in
-    let w6, w15 = Eft.two_prod a.x2 b.x0 in
-    let w9 = a.x0 *. b.x3 in
-    let w10 = a.x1 *. b.x2 in
-    let w11 = a.x2 *. b.x1 in
-    let w12 = a.x3 *. b.x0 in
-    (* Accumulation FPAN (mul4). *)
-    let w1, w2 = Eft.two_sum w1 w2 in
-    let w1, w3 = Eft.two_sum w1 w3 in
-    let w4, w6 = Eft.two_sum w4 w6 in
-    let w4, w5 = Eft.two_sum w4 w5 in
-    let w7, w8 = Eft.two_sum w7 w8 in
-    let w4, w7 = Eft.two_sum w4 w7 in
-    let w2, w3 = Eft.two_sum w2 w3 in
-    let w4, w2 = Eft.two_sum w4 w2 in
-    let w9 = w9 +. w12 in
-    let w10 = w10 +. w11 in
-    let w9 = w9 +. w10 in
-    let w13 = w13 +. w15 in
-    let w13 = w13 +. w14 in
-    let w9 = w9 +. w13 in
-    let w6 = w6 +. w5 in
-    let w8 = w8 +. w7 in
-    let w6 = w6 +. w8 in
-    let w3 = w3 +. w2 in
-    let w6 = w6 +. w3 in
-    let w9 = w9 +. w6 in
-    let w4, w9 = Eft.two_sum w4 w9 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w0, w1 = Eft.two_sum w0 w1 in
-    let w4, w9 = Eft.two_sum w4 w9 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w0, w1 = Eft.two_sum w0 w1 in
-    let w4, w9 = Eft.two_sum w4 w9 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w4, w9 = Eft.two_sum w4 w9 in
-    { x0 = w0; x1 = w1; x2 = w4; x3 = w9 }
-
-  let neg a = { x0 = -.a.x0; x1 = -.a.x1; x2 = -.a.x2; x3 = -.a.x3 }
-  let add_float a f = add a (of_float f)
-  let sub_float a f = add a (of_float (-.f))
-
-  let mul_float a f =
-    (* mul4 with y1 = y2 = y3 = 0; terms grouped strictly by total
-       order: p10+e00 (order 1), p20+e10+carry (order 2),
-       p30+e20+carries (order 3). *)
-    let w0, w3 = Eft.two_prod a.x0 f in
-    let w2, w8 = Eft.two_prod a.x1 f in
-    let w6, w15 = Eft.two_prod a.x2 f in
-    let w12 = a.x3 *. f in
-    let w2, w3 = Eft.two_sum w2 w3 in
-    let w6, w8 = Eft.two_sum w6 w8 in
-    let w6, w3 = Eft.two_sum w6 w3 in
-    let w12 = w12 +. w15 in
-    let w12 = w12 +. w8 in
-    let w12 = w12 +. w3 in
-    let w6, w12 = Eft.two_sum w6 w12 in
-    let w2, w6 = Eft.two_sum w2 w6 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w6, w12 = Eft.two_sum w6 w12 in
-    let w2, w6 = Eft.two_sum w2 w6 in
-    let w0, w2 = Eft.two_sum w0 w2 in
-    let w6, w12 = Eft.two_sum w6 w12 in
-    { x0 = w0; x1 = w2; x2 = w6; x3 = w12 }
-
-  let scale_pow2 a k =
-    { x0 = Float.ldexp a.x0 k;
-      x1 = Float.ldexp a.x1 k;
-      x2 = Float.ldexp a.x2 k;
-      x3 = Float.ldexp a.x3 k }
-
-  let mul_with two_prod a b =
-    let w0, w3 = two_prod a.x0 b.x0 in
-    let w1, w7 = two_prod a.x0 b.x1 in
-    let w2, w8 = two_prod a.x1 b.x0 in
-    let w4, w13 = two_prod a.x0 b.x2 in
-    let w5, w14 = two_prod a.x1 b.x1 in
-    let w6, w15 = two_prod a.x2 b.x0 in
-    let w9 = a.x0 *. b.x3 in
-    let w10 = a.x1 *. b.x2 in
-    let w11 = a.x2 *. b.x1 in
-    let w12 = a.x3 *. b.x0 in
-    let w1, w2 = Eft.two_sum w1 w2 in
-    let w1, w3 = Eft.two_sum w1 w3 in
-    let w4, w6 = Eft.two_sum w4 w6 in
-    let w4, w5 = Eft.two_sum w4 w5 in
-    let w7, w8 = Eft.two_sum w7 w8 in
-    let w4, w7 = Eft.two_sum w4 w7 in
-    let w2, w3 = Eft.two_sum w2 w3 in
-    let w4, w2 = Eft.two_sum w4 w2 in
-    let w9 = w9 +. w12 in
-    let w10 = w10 +. w11 in
-    let w9 = w9 +. w10 in
-    let w13 = w13 +. w15 in
-    let w13 = w13 +. w14 in
-    let w9 = w9 +. w13 in
-    let w6 = w6 +. w5 in
-    let w8 = w8 +. w7 in
-    let w6 = w6 +. w8 in
-    let w3 = w3 +. w2 in
-    let w6 = w6 +. w3 in
-    let w9 = w9 +. w6 in
-    let w4, w9 = Eft.two_sum w4 w9 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w0, w1 = Eft.two_sum w0 w1 in
-    let w4, w9 = Eft.two_sum w4 w9 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w0, w1 = Eft.two_sum w0 w1 in
-    let w4, w9 = Eft.two_sum w4 w9 in
-    let w1, w4 = Eft.two_sum w1 w4 in
-    let w4, w9 = Eft.two_sum w4 w9 in
-    { x0 = w0; x1 = w1; x2 = w4; x3 = w9 }
-end
-
-include Ops.Make (K)
-
-(* Multiplication for hardware without a fused multiply-add. *)
-let mul_no_fma (a : K.t) (b : K.t) : K.t = K.mul_with Eft.two_prod_dekker a b
+let mul_no_fma = Scalar.K4.mul_no_fma

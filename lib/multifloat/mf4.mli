@@ -1,8 +1,10 @@
 (** Four-term floating-point expansions: ~215-bit (octuple) precision.
 
     Branch-free arithmetic from the reconstructed 4-term FPANs (Figures
-    4 and 7 of the paper), checked against the [Fpan] interpreter and
-    verified to the paper's error bounds (2^-208 relative). *)
+    4 and 7 of the paper), emitted from the FPAN wire-program IR at
+    build time by the same emitter as the planar {!Batch.Mf4v}, checked
+    against the [Fpan] interpreter and verified to the paper's error
+    bounds (2^-208 relative). *)
 
 include Ops.S
 

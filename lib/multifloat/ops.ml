@@ -1,10 +1,20 @@
-(** Derived MultiFloat operations: everything beyond the hand-inlined
-    add/sub/mul kernels.  Division and square root follow Section 4.3 of
-    the paper: division-free Newton-Raphson iteration on [1/a] and
-    [1/sqrt a] with a Karp-Markstein final correction. *)
+(** Derived MultiFloat operations: everything beyond the generated
+    add/sub/mul kernels ({!Kernel.KERNEL}).  Division and square root
+    follow Section 4.3 of the paper: division-free Newton-Raphson
+    iteration on [1/a] and [1/sqrt a] with a Karp-Markstein final
+    correction. *)
 
 module type S = sig
   include Kernel.KERNEL
+
+  val add_float : t -> float -> t
+  (** [add a (of_float f)]: the add network with a one-term operand. *)
+
+  val sub_float : t -> float -> t
+  (** [add a (of_float (-. f))]. *)
+
+  val mul_float : t -> float -> t
+  (** [mul a (of_float f)]. *)
 
   val one : t
   val two : t
@@ -92,6 +102,9 @@ end
 module Make (K : Kernel.KERNEL) : S with type t = K.t = struct
   include K
 
+  let add_float a f = add a (of_float f)
+  let sub_float a f = add a (of_float (-.f))
+  let mul_float a f = mul a (of_float f)
   let one = of_float 1.0
   let two = of_float 2.0
 

@@ -1,8 +1,9 @@
 (* Tests for the MultiFloat kernels (Mf2/Mf3/Mf4) and derived ops.
 
-   The hand-inlined kernels must agree BIT-FOR-BIT with the Fpan
-   network interpreter on the same networks, and meet the paper's error
-   bounds against the exact oracle. *)
+   The kernels, emitted from the FPAN wire-program IR at build time,
+   must agree BIT-FOR-BIT with the Fpan network interpreter on the same
+   networks, and meet the paper's error bounds against the exact
+   oracle. *)
 
 let rng = Random.State.make [| 0x3f; 0x5eed |]
 

@@ -1012,49 +1012,55 @@ let lg_drive ~sockaddr ~slas ~ops ~tiers ~conns ~pipeline ~duration =
   (total (fun c -> c.lg_sent), total (fun c -> c.lg_ok), total (fun c -> c.lg_shed),
    total (fun c -> c.lg_err), lats, wall)
 
+let rows_bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun ea eb ->
+         Array.length ea = Array.length eb
+         && Array.for_all2
+              (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+              ea eb)
+       a b
+
 (* The bitwise canary: a hard gate, not a statistic.  Every response
    the service hands back — from any shard, cached or not — must be
    bit-for-bit what the single-process scalar path computes.  Each
    request goes twice so a cache-enabled server answers the repeat
    from the LRU; a mismatch anywhere fails the whole loadgen run. *)
 let lg_canary ~sockaddr ~slas ~ops ~tiers ~pipeline =
-  let addr =
-    match sockaddr with
-    | Unix.ADDR_UNIX p -> Serve.Server.Unix_path p
-    | Unix.ADDR_INET (ip, port) ->
-        Serve.Server.Tcp { host = Unix.string_of_inet_addr ip; port }
-  in
-  let cl = Serve.Client.connect ~deadline_ms:30_000 addr in
+  let cl = Serve.Client.connect_sockaddr ~deadline_ms:30_000 sockaddr in
   let checked = ref 0 in
   let mismatches = ref 0 in
-  let bits_equal a b =
-    Array.length a = Array.length b
-    && Array.for_all2
-         (fun ea eb ->
-           Array.length ea = Array.length eb
-           && Array.for_all2
-                (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-                ea eb)
-         a b
-  in
   for i = 0 to (2 * pipeline) - 1 do
     (* i and i + pipeline build the same request: the second pass hits
        the cache when one is configured *)
     let req = lg_request ~slas ~ops ~tiers (i mod pipeline * 131) in
     let req = { req with SP.id = i + 1 } in
     incr checked;
-    match (Serve.Client.call cl req, Serve.Batcher.eval_one req) with
-    | SP.Result { result; chosen; _ }, Ok expect when bits_equal result expect -> (
-        (* an SLA response settled at a MultiFloat rung must also be
-           bitwise what a direct fixed-tier request at the chosen tier
-           computes (the bigfloat fallback has no fixed-tier twin) *)
-        match (req.SP.sla, chosen) with
-        | Some _, Some ("mf2" | "mf3" | "mf4" as tname) -> (
-            let terms = if tname = "mf2" then 2 else if tname = "mf3" then 3 else 4 in
-            match Serve.Batcher.eval_one (Serve.Batcher.pad_request ~terms req) with
-            | Ok twin when bits_equal result twin -> ()
-            | _ -> incr mismatches)
-        | _ -> ())
+    match (Serve.Client.call cl req, req.SP.sla) with
+    | SP.Result { result; chosen = None; bound = None; _ }, None -> (
+        match Serve.Batcher.eval_one req with
+        | Ok expect when rows_bits_equal result expect -> ()
+        | _ -> incr mismatches)
+    | SP.Result { result; chosen = Some chosen; bound = Some bound; _ }, Some _ -> (
+        (* an SLA reply must be the scalar ladder's outcome: result,
+           chosen rung and certified bound, bit for bit; settled at a
+           MultiFloat rung it must also be what a direct fixed-tier
+           request at that tier computes (the bigfloat fallback has no
+           fixed-tier twin) *)
+        match Serve.Batcher.eval_adaptive req with
+        | Ok o
+          when rows_bits_equal result o.Adaptive.Escalate.result
+               && chosen = o.Adaptive.Escalate.chosen
+               && Int64.equal (Int64.bits_of_float bound)
+                    (Int64.bits_of_float o.Adaptive.Escalate.bound) -> (
+            match Adaptive.Sla.terms_of_rung chosen with
+            | Some terms -> (
+                match Serve.Batcher.eval_one (Serve.Batcher.pad_request ~terms req) with
+                | Ok twin when rows_bits_equal result twin -> ()
+                | _ -> incr mismatches)
+            | None -> ())
+        | _ -> incr mismatches)
     | _ -> incr mismatches
   done;
   Serve.Client.close cl;
@@ -1175,18 +1181,8 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
     let (sent, ok, shed, errors, lats, wall), stats =
       match connect with
       | Some endpoint ->
-          let addr = parse_endpoint endpoint in
-          let probe = Serve.Client.connect ~deadline_ms:30_000 addr in
-          let sockaddr =
-            match addr with
-            | Serve.Server.Unix_path p -> Unix.ADDR_UNIX p
-            | Serve.Server.Tcp { host; port } ->
-                let ip =
-                  try Unix.inet_addr_of_string host
-                  with _ -> (Unix.gethostbyname host).h_addr_list.(0)
-                in
-                Unix.ADDR_INET (ip, port)
-          in
+          let sockaddr = Serve.Server.sockaddr_of_addr (parse_endpoint endpoint) in
+          let probe = Serve.Client.connect_sockaddr ~deadline_ms:30_000 sockaddr in
           let res = drive sockaddr in
           canary sockaddr;
           let stats = Serve.Client.stats probe in
@@ -1199,13 +1195,7 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
           canary sockaddr;
           (* the stats probe reaches one shard — representative, not
              fleet-aggregated *)
-          let probe =
-            Serve.Client.connect ~deadline_ms:30_000
-              (match sockaddr with
-              | Unix.ADDR_UNIX p -> Serve.Server.Unix_path p
-              | Unix.ADDR_INET (ip, port) ->
-                  Serve.Server.Tcp { host = Unix.string_of_inet_addr ip; port })
-          in
+          let probe = Serve.Client.connect_sockaddr ~deadline_ms:30_000 sockaddr in
           let stats = Serve.Client.stats probe in
           Serve.Client.close probe;
           (res, stats)
@@ -1423,16 +1413,6 @@ let chaos_fd_count () =
   | entries -> Array.length entries
   | exception _ -> -1 (* no procfs: leak check degrades to a no-op *)
 
-let chaos_bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun ea eb ->
-         Array.length ea = Array.length eb
-         && Array.for_all2
-              (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-              ea eb)
-       a b
-
 (* Deterministic request for campaign index n: cycles every scalar op
    and tier, with every fifth request carrying an accuracy SLA, so
    each fault class crosses each request class. *)
@@ -1564,7 +1544,7 @@ let chaos_fleet_scenario ~seed ~shards ~requests (s : Chaos.Plan.scenario) =
         match Serve.Client.call_retry ~seed ~max_attempts:12 cl req with
         | SP.Result { result; _ } ->
             incr answered;
-            if chaos_bits_equal result expect then incr checked
+            if rows_bits_equal result expect then incr checked
             else incr mismatches
         | SP.Shed _ | SP.Failed _ | SP.Stats_reply _ -> incr mismatches
         | exception _ -> incr mismatches)
@@ -1907,14 +1887,13 @@ let adaptive_run cases n ops_csv slas_csv reps fuzz_cases seed out =
   let sla_rps = if sla_wall > 0. then Float.of_int cases /. sla_wall else 0. in
   let mf4_rps = if mf4_wall > 0. then Float.of_int cases /. mf4_wall else 0. in
   let speedup = if sla_wall > 0. then mf4_wall /. sla_wall else 0. in
-  let tier_order = [ "mf2"; "mf3"; "mf4"; "bigfloat" ] in
   Printf.printf "adaptive: %d cases, %d escalations\n" cases !escalations;
   List.iter
     (fun t ->
       match Hashtbl.find_opt histo t with
       | Some r -> Printf.printf "  chosen %-9s %6d\n" t !r
       | None -> ())
-    tier_order;
+    AD.Sla.rungs;
   Printf.printf "  sla-driven %8.0f req/s   always-mf4 %8.0f req/s   speedup %.2fx\n" sla_rps
     mf4_rps speedup;
   (* the fuzz gate: containment, monotonicity, bitwise identity *)
@@ -1952,7 +1931,7 @@ let adaptive_run cases n ops_csv slas_csv reps fuzz_cases seed out =
                      J.Obj
                        [ ("chosen", J.Str t); ("count", J.Num (Float.of_int !r)) ])
                    (Hashtbl.find_opt histo t))
-               tier_order) );
+               AD.Sla.rungs) );
         ("escalations", J.Num (Float.of_int !escalations));
         ("sla_throughput_rps", J.Num sla_rps);
         ("mf4_throughput_rps", J.Num mf4_rps);

@@ -1,27 +1,20 @@
-(* Hybrid accuracy certification.
-
-   Two certificates, tried in cost order:
+(* Hybrid accuracy certification: the two certificates the ladder
+   (Escalate) settles with, and the magnitude scale both are measured
+   against.
 
    - The STATIC bound costs a handful of double ops: C_op * 2^-q_tier *
      scale, where q_tier is the tier's verified accuracy exponent
      (Kernel.error_exp), scale is a deterministic magnitude proxy
      computed in doubles, and C_op a generous per-op safety constant.
      It certifies the common case without touching bignums, which is
-     what keeps SLA-driven serving faster than always-mf4.
+     what keeps SLA-driven serving cheap.
 
-   - The BALL bound runs only when the static bound misses the
-     threshold AND the tier is the last MultiFloat rung: re-evaluate
-     the operation in Arb ball arithmetic at tier precision + 60 guard
-     bits and measure the distance from the returned expansion to the
-     ball, all under directed rounding.  It is an enclosure of the
-     true error whatever the tier kernels did.  At the cheaper rungs a
-     ball is never worth its bignum cost: the measured distance is
-     dominated by the rung's own rounding error (~2^-q_tier * scale),
-     so whenever the static certificate misses by more than its small
-     constant factor the ball would miss too — escalating one rung
-     costs far less than finding that out.  At mf4 the alternative is
-     the 400-bit bigfloat fallback, which dwarfs a ball, so there the
-     gamble pays.
+   - The BALL bound re-evaluates the operation in Arb ball arithmetic
+     at tier precision + 60 guard bits and measures the distance from
+     the returned expansion to the ball, all under directed rounding.
+     It is an enclosure of the true error whatever the tier kernels
+     did.  The ladder runs it only on a static miss at the last
+     MultiFloat rung (see Escalate).
 
    Both certificates depend only on (op, tier, operands, result) — not
    on q — so the escalation decision is monotone in the SLA by
@@ -52,6 +45,14 @@ let ball_guard = 60
 let sum_abs (e : float array) = Array.fold_left (fun a c -> a +. Float.abs c) 0.0 e
 let sum_rows f rows = Array.fold_left (fun a e -> a +. f e) 0.0 rows
 
+(* Product of two magnitudes.  A magnitude sum that overflowed is
+   infinity, and infinity times an exact zero is NaN, which would leave
+   the scale below the result it must bound (and every comparison
+   against the threshold false); the product stays infinite instead. *)
+let mag_mul a b =
+  let p = a *. b in
+  if Float.is_nan p then Float.infinity else p
+
 (* Lower bound on |value of e| computable in doubles: head magnitude
    minus the tail's magnitude sum, halved to absorb the rounding of
    this very computation.  Nonpositive means "not provably away from
@@ -68,7 +69,7 @@ let abs_lower (e : float array) =
 let scale op (inp : Sla.inputs) =
   match op with
   | Sla.Add -> sum_rows sum_abs inp.x +. sum_rows sum_abs inp.y
-  | Sla.Mul -> sum_abs inp.x.(0) *. sum_abs inp.y.(0)
+  | Sla.Mul -> mag_mul (sum_abs inp.x.(0)) (sum_abs inp.y.(0))
   | Sla.Div ->
       let num = sum_abs inp.x.(0) in
       let lo = abs_lower inp.y.(0) in
@@ -78,14 +79,14 @@ let scale op (inp : Sla.inputs) =
   | Sla.Dot | Sla.Chain [ "mul"; "sum" ] ->
       let s = ref 0.0 in
       for i = 0 to Array.length inp.x - 1 do
-        s := !s +. (sum_abs inp.x.(i) *. sum_abs inp.y.(i))
+        s := !s +. mag_mul (sum_abs inp.x.(i)) (sum_abs inp.y.(i))
       done;
       !s
   | Sla.Axpy ->
       let a = sum_abs inp.y.(0) in
       let m = ref 0.0 in
       for i = 0 to Array.length inp.x - 1 do
-        let s = (a *. sum_abs inp.x.(i)) +. sum_abs inp.y.(i + 1) in
+        let s = mag_mul a (sum_abs inp.x.(i)) +. sum_abs inp.y.(i + 1) in
         if s > !m then m := s
       done;
       !m
@@ -95,9 +96,9 @@ let scale op (inp : Sla.inputs) =
       let a = sum_abs inp.y.(0) in
       let acc = ref 0.0 and m = ref 0.0 in
       for i = 0 to Array.length inp.x - 1 do
-        let s = (a *. sum_abs inp.x.(i)) +. sum_abs inp.y.(i + 1) in
+        let s = mag_mul a (sum_abs inp.x.(i)) +. sum_abs inp.y.(i + 1) in
         if s > !m then m := s;
-        acc := !acc +. (s *. sum_abs inp.z.(i))
+        acc := !acc +. mag_mul s (sum_abs inp.z.(i))
       done;
       Float.max !acc !m
   | Sla.Chain c ->
@@ -116,13 +117,8 @@ let static_c op ~n =
   | Sla.Axpy -> 8.0
   | Sla.Chain _ -> 32.0 *. n
 
-let static_bound_scaled op ~n ~terms ~scale =
+let static_bound op ~n ~terms ~scale =
   static_c op ~n:(float_of_int n) *. Float.ldexp scale (-q_of_terms terms)
-
-let static_bound op ~terms (inp : Sla.inputs) =
-  static_bound_scaled op
-    ~n:(max 1 (Array.length inp.x))
-    ~terms ~scale:(scale op inp)
 
 (* --- ball certificate ------------------------------------------------ *)
 
@@ -180,19 +176,3 @@ let ball_bound op ~prec (inp : Sla.inputs) (result : float array array) =
       invalid_arg
         (Printf.sprintf "Adaptive.Certify.ball_bound: unsupported chain %S"
            (String.concat ";" c))
-
-(* --- the certification decision -------------------------------------- *)
-
-let certify_scaled op ~terms ~q ~scale:sc (inp : Sla.inputs) (result : float array array) =
-  let thr = threshold ~q ~scale:sc in
-  let sb = static_bound_scaled op ~n:(max 1 (Array.length inp.x)) ~terms ~scale:sc in
-  if sb <= thr then (sb, true)
-  else if terms < Sla.max_terms then (sb, false)
-  else begin
-    let bb = ball_bound op ~prec:(prec_of_terms terms + ball_guard) inp result in
-    let b = if Float.is_nan sb then bb else Float.min sb bb in
-    (b, b <= thr)
-  end
-
-let certify op ~terms ~q (inp : Sla.inputs) result =
-  certify_scaled op ~terms ~q ~scale:(scale op inp) inp result

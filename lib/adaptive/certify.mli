@@ -1,6 +1,7 @@
-(** Hybrid accuracy certification: a cheap static bound in doubles
-    first, ball arithmetic only when the static certificate misses the
-    threshold.
+(** Hybrid accuracy certification: the magnitude {!scale} an SLA
+    budget is measured against, a cheap {!static_bound} in doubles, and
+    a {!ball_bound} in ball arithmetic.  The ladder ({!Escalate}) is
+    the one place that decides which certificate runs where.
 
     Both certificates depend only on (op, tier, operands, result) — not
     on the SLA exponent [q] — so escalation is monotone in [q] by
@@ -18,21 +19,19 @@ val ball_guard : int
 val scale : Sla.op -> Sla.inputs -> float
 (** Deterministic magnitude proxy for the operation, computed in
     doubles from component-magnitude sums.  Always an upper bound on
-    the relevant result magnitudes; may be [infinity] when the operands
-    overflow a double sum or a divisor is not provably nonzero (the
-    threshold then degrades to infinity — sound, just uninformative). *)
+    the relevant result magnitudes, never NaN; may be [infinity] when
+    the operands overflow a double sum (even one multiplied by an exact
+    zero) or a divisor is not provably nonzero (the threshold then
+    degrades to infinity — sound, just uninformative). *)
 
 val threshold : q:int -> scale:float -> float
 (** The SLA's absolute-error budget: [scale * 2^-q]. *)
 
-val static_bound : Sla.op -> terms:int -> Sla.inputs -> float
+val static_bound : Sla.op -> n:int -> terms:int -> scale:float -> float
 (** [C_op * 2^-q_tier * scale]: a certified error bound for the tier's
-    kernels that costs only a few double ops. *)
-
-val static_bound_scaled : Sla.op -> n:int -> terms:int -> scale:float -> float
-(** {!static_bound} with the operand scan hoisted: [n] is the row
-    count, [scale] the precomputed {!scale}.  The ladder probes every
-    rung with this, paying for the scan once per request. *)
+    kernels that costs only a few double ops.  [n] is the row count of
+    operand [x] (at least 1), [scale] the request's {!scale}, computed
+    once and shared by every rung the ladder probes. *)
 
 val ball_bound : Sla.op -> prec:int -> Sla.inputs -> float array array -> float
 (** Enclosure of the absolute error of [result]: re-evaluates the op in
@@ -40,22 +39,3 @@ val ball_bound : Sla.op -> prec:int -> Sla.inputs -> float array array -> float
     the returned expansion(s) to the ball under directed rounding.
     Multi-row results (axpy, axpy;dot) report the worst row.  Never
     NaN; infinite when nothing finite can be certified. *)
-
-val certify :
-  Sla.op -> terms:int -> q:int -> Sla.inputs -> float array array -> float * bool
-(** [(bound, met)]: [bound] is a certified enclosure of the absolute
-    error of [result] at this tier, [met] says whether it is within the
-    SLA threshold.  Static certificate first; the ball runs only on a
-    static miss at the last MultiFloat rung ([Sla.max_terms]) — at the
-    cheaper rungs escalating is cheaper than a doomed ball, so a miss
-    is final there. *)
-
-val certify_scaled :
-  Sla.op ->
-  terms:int ->
-  q:int ->
-  scale:float ->
-  Sla.inputs ->
-  float array array ->
-  float * bool
-(** {!certify} with a precomputed {!scale}. *)

@@ -1,15 +1,32 @@
-(* The escalation engine: pick the cheapest rung whose static
-   certificate meets the SLA threshold (computable from the operands
-   alone, before any evaluation), evaluate there, and fall through
-   mf4's ball certificate to the bigfloat rung only when no static
-   certificate exists — mf2 -> mf3 -> mf4 -> bigfloat.
+(* The escalation engine: the one place the ladder mf2 -> mf3 -> mf4 ->
+   bigfloat is decided, in two steps around one evaluation.
 
-   The returned result at the finally-chosen tier is exactly what the
-   tier evaluator produced for the zero-padded operands, so it is
-   bitwise identical to a direct fixed-tier request.  The bigfloat
-   fallback is the only rung with different numerics: one evaluation at
-   400 bits, rounded back to a 4-term expansion (Eq. 6), with its own
-   ball certificate. *)
+   - [plan] runs the SLA admission check and picks the rung to evaluate
+     at from the operands alone: the cheapest one whose static
+     certificate meets the threshold, else the last MultiFloat rung.
+     Jumping straight there, instead of evaluating (and discarding) the
+     rungs below, is what keeps the ladder's cost near that of its
+     cheapest admissible tier.
+   - [settle] takes the result evaluated at the planned rung and returns
+     the static bound if it met, else mf4's ball certificate if that
+     meets, else the bigfloat fallback.  Below mf4 a ball is never worth
+     its bignum cost: its measured distance is dominated by the rung's
+     own rounding error (~2^-q_tier * scale), so whenever the static
+     certificate misses by more than its small constant factor the ball
+     would miss too, and escalating one rung costs far less than finding
+     that out.  At mf4 the alternative is the 400-bit bigfloat rung,
+     which dwarfs a ball, so there the gamble pays.
+
+   [run] is plan, the scalar evaluator at the planned rung, then settle.
+   The serving layer batches the evaluations of a whole cohort between
+   the same two calls, so both paths make the same decisions by
+   construction.
+
+   The result at a MultiFloat rung is exactly what the tier evaluator
+   produced for the zero-padded operands, so it is bitwise identical to
+   a direct fixed-tier request.  The bigfloat fallback is the only rung
+   with different numerics: one evaluation at 400 bits, rounded back to
+   a 4-term expansion (Eq. 6), with its own ball certificate. *)
 
 module B = Bigfloat
 
@@ -72,49 +89,45 @@ let bigfloat_outcome op (inp : Sla.inputs) ~escalations =
   let bound = Certify.ball_bound op ~prec:(big_prec + Certify.ball_guard) inp result in
   { result; bound; chosen = "bigfloat"; escalations }
 
-let run ?eval ~q ~op (inputs : Sla.inputs) =
-  let eval = Option.value eval ~default:(fun ~terms inp -> Eval.eval ~terms op inp) in
-  if q < Sla.q_min || q > Sla.q_max then
-    Error (Printf.sprintf "sla %d out of range [%d, %d]" q Sla.q_min Sla.q_max)
-  else if not (Sla.finite inputs) then Error "sla requires finite operand components"
-  else
-    match Sla.width inputs with
-    | None -> Error "sla requires uniform operand element width"
-    | Some w when w > Sla.max_terms ->
-        Error (Printf.sprintf "operand width %d exceeds the widest tier" w)
-    | Some w ->
-        let start = Sla.start_terms ~width:w in
-        let sc = Certify.scale op inputs in
-        let thr = Certify.threshold ~q ~scale:sc in
-        let n = max 1 (Array.length inputs.x) in
-        (* the static certificate depends only on the operands, so the
-           ladder jumps straight to its cheapest admissible rung
-           instead of evaluating (and discarding) the rungs below —
-           this is what keeps a mixed-SLA workload cheaper than
-           always-mf4 serving *)
-        let rec pick terms =
-          if terms > Sla.max_terms then None
-          else if Certify.static_bound_scaled op ~n ~terms ~scale:sc <= thr then
-            Some terms
-          else pick (terms + 1)
-        in
-        (match pick start with
-        | Some terms ->
-            let result = eval ~terms (Sla.pad ~terms inputs) in
-            Ok
-              { result;
-                bound = Certify.static_bound_scaled op ~n ~terms ~scale:sc;
-                chosen = Sla.tier_name_of_terms terms;
-                escalations = terms - start }
-        | None ->
-            (* no rung certifies statically: the last MultiFloat rung
-               may still pass under its ball certificate before the
-               bigfloat fallback *)
-            let terms = Sla.max_terms in
-            let result = eval ~terms (Sla.pad ~terms inputs) in
-            let bound, met = Certify.certify_scaled op ~terms ~q ~scale:sc inputs result in
-            if met then
-              Ok
-                { result; bound; chosen = Sla.tier_name_of_terms terms;
-                  escalations = terms - start }
-            else Ok (bigfloat_outcome op inputs ~escalations:(terms - start + 1)))
+type plan = {
+  op : Sla.op;
+  inputs : Sla.inputs;
+  start : int;  (* the ladder's first rung, in terms *)
+  terms : int;  (* the rung to evaluate at *)
+  static_bound : float;  (* the static certificate at [terms] *)
+  threshold : float;
+}
+
+let plan ~q ~op (inputs : Sla.inputs) =
+  match Sla.check ~q inputs with
+  | Error msg -> Error msg
+  | Ok start ->
+      let scale = Certify.scale op inputs in
+      let n = max 1 (Array.length inputs.x) in
+      let threshold = Certify.threshold ~q ~scale in
+      let rec pick terms =
+        let static_bound = Certify.static_bound op ~n ~terms ~scale in
+        if terms = Sla.max_terms || static_bound <= threshold then
+          Ok { op; inputs; start; terms; static_bound; threshold }
+        else pick (terms + 1)
+      in
+      pick start
+
+let settle p result =
+  let bound =
+    if p.static_bound <= p.threshold then p.static_bound
+    else
+      (* planned at the last MultiFloat rung without a static
+         certificate: its ball may still pass before the fallback *)
+      Float.min p.static_bound
+        (Certify.ball_bound p.op ~prec:(Certify.prec_of_terms p.terms + Certify.ball_guard)
+           p.inputs result)
+  in
+  if bound <= p.threshold then
+    { result; bound; chosen = Sla.tier_name_of_terms p.terms; escalations = p.terms - p.start }
+  else bigfloat_outcome p.op p.inputs ~escalations:(p.terms - p.start + 1)
+
+let run ~q ~op inputs =
+  match plan ~q ~op inputs with
+  | Error msg -> Error msg
+  | Ok p -> Ok (settle p (Eval.eval ~terms:p.terms op (Sla.pad ~terms:p.terms inputs)))

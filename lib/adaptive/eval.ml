@@ -1,8 +1,8 @@
 (* Canonical scalar tier evaluator for the certifiable ops: plain
-   scalar kernels in index order, the same accumulation orders as the
-   serving layer's scalar reference path (Serve.Batcher.eval_one) and —
-   by the Batch contract — its planar batched kernels.  fpan_tool's
-   adaptive fuzz gate pins this equivalence bitwise. *)
+   scalar kernels in index order.  It is the serving layer's scalar
+   reference path for these ops (Serve.Batcher.eval_one), and by the
+   Batch contract its planar batched kernels run the same accumulation
+   orders. *)
 
 module Make (M : Multifloat.Ops.S) = struct
   let eval op (inp : Sla.inputs) : float array array =

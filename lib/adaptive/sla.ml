@@ -83,11 +83,40 @@ let max_terms = 4
    mf3, width 4 at mf4. *)
 let start_terms ~width = max min_terms width
 
-let tier_name_of_terms = function
-  | 2 -> "mf2"
-  | 3 -> "mf3"
-  | 4 -> "mf4"
-  | n -> invalid_arg (Printf.sprintf "Adaptive.Sla.tier_name_of_terms: %d" n)
+(* The ladder's rungs, cheapest first: the MultiFloat tiers in term
+   order from [min_terms], then the bigfloat fallback. *)
+let rungs = [ "mf2"; "mf3"; "mf4"; "bigfloat" ]
+
+let rung_rank name =
+  let rec go i = function
+    | [] -> i
+    | r :: rest -> if String.equal r name then i else go (i + 1) rest
+  in
+  go 0 rungs
+
+let terms_of_rung name =
+  let terms = min_terms + rung_rank name in
+  if terms <= max_terms then Some terms else None
+
+let tier_name_of_terms terms =
+  if terms < min_terms || terms > max_terms then
+    invalid_arg (Printf.sprintf "Adaptive.Sla.tier_name_of_terms: %d" terms)
+  else List.nth rungs (terms - min_terms)
+
+(* The admission check, in the wire protocol's words: the protocol
+   validator and the ladder both run it, so a request the server
+   accepts is one the ladder serves. *)
+let check ~q inp =
+  if q < q_min || q > q_max then
+    Error (Printf.sprintf "sla %d out of range [%d, %d]" q q_min q_max)
+  else if not (finite inp) then Error "sla requires finite operand components"
+  else
+    match width inp with
+    | Some w when w <= max_terms -> Ok (start_terms ~width:w)
+    | _ ->
+        Error
+          (Printf.sprintf "sla operands must have a uniform element width of 1..%d components"
+             max_terms)
 
 (* Zero-padding is exact (the expansion's value is the sum of its
    components), which is what makes results at the finally-chosen tier

@@ -1,4 +1,6 @@
-(** Vocabulary of the adaptive-precision subsystem.
+(** Vocabulary of the adaptive-precision subsystem: the certifiable
+    ops, their operands, the ladder's rungs, and the SLA admission
+    check.
 
     An SLA is an absolute-error budget in units of [2^-q]: the server
     must return a result whose certified absolute error is at most
@@ -39,12 +41,6 @@ val of_wire : op:string -> prog:string list -> op option
 
 val supported_wire_ops : string list
 
-val width : inputs -> int option
-(** Uniform element width across all operands, or [None] when elements
-    disagree (or there are none). *)
-
-val finite : inputs -> bool
-
 val min_terms : int
 val max_terms : int
 
@@ -52,7 +48,26 @@ val start_terms : width:int -> int
 (** First rung of the escalation ladder: the cheapest tier that holds
     the operands without truncation. *)
 
+val check : q:int -> inputs -> (int, string) result
+(** The SLA admission check: [q] within [q_min..q_max], every operand
+    component finite, and one element width of at most [max_terms]
+    components across all operands.  [Ok] carries the ladder's
+    starting terms ({!start_terms}); [Error] the wire protocol's
+    message for the first failed condition. *)
+
+val rungs : string list
+(** The ladder's rung names, cheapest first: ["mf2"], ["mf3"],
+    ["mf4"], ["bigfloat"]. *)
+
+val rung_rank : string -> int
+(** Position of a rung in {!rungs}; an unknown name ranks last. *)
+
+val terms_of_rung : string -> int option
+(** Component count of a MultiFloat rung; [None] for ["bigfloat"] (or
+    an unknown name). *)
+
 val tier_name_of_terms : int -> string
+(** The rung name of a MultiFloat tier: [2] is ["mf2"], and so on. *)
 
 val pad_element : terms:int -> float array -> float array
 (** Exact widening by zero components; raises on an attempt to narrow. *)

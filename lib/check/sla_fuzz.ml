@@ -36,10 +36,6 @@ let passed r =
    every bound the engine can return. *)
 let oracle_prec = 1200
 
-let tier_rank = function "mf2" -> 0 | "mf3" -> 1 | "mf4" -> 2 | _ -> 3
-
-let terms_of_tier = function "mf2" -> Some 2 | "mf3" -> Some 3 | "mf4" -> Some 4 | _ -> None
-
 let bits_eq_rows a b =
   Array.length a = Array.length b
   && Array.for_all2
@@ -89,7 +85,7 @@ let run ?(cases = 2000) ?(seed = 42) () =
             o1.Adaptive.Escalate.result
         in
         if not (true_err_up <= o1.Adaptive.Escalate.bound) then incr cont;
-        (match terms_of_tier o1.Adaptive.Escalate.chosen with
+        (match Sla.terms_of_rung o1.Adaptive.Escalate.chosen with
         | Some terms ->
             let direct = Adaptive.Eval.eval ~terms op (Sla.pad ~terms inp) in
             if not (bits_eq_rows direct o1.Adaptive.Escalate.result) then incr bits
@@ -98,8 +94,8 @@ let run ?(cases = 2000) ?(seed = 42) () =
         | Error _ -> incr errs
         | Ok o2 ->
             if
-              tier_rank o2.Adaptive.Escalate.chosen
-              < tier_rank o1.Adaptive.Escalate.chosen
+              Sla.rung_rank o2.Adaptive.Escalate.chosen
+              < Sla.rung_rank o1.Adaptive.Escalate.chosen
             then incr mono)
   done;
   { cases; containment_violations = !cont; monotonicity_violations = !mono;

@@ -9,13 +9,14 @@
    bit, batched or not.
 
    SLA cohorts: requests carrying an accuracy SLA group by (op,
-   starting tier) and climb the escalation ladder together — the whole
-   pending subset is evaluated per tier through the same batched
-   kernels, each element is certified individually, and only the
-   failing subset (a per-element escalation mask, kept as an index
-   list) moves to the next tier.  Results at an element's finally-
-   chosen tier are therefore bitwise what a fixed-tier request with
-   the zero-padded operands would have returned. *)
+   starting tier).  The ladder itself is Adaptive.Escalate's: each
+   element is planned (its rung picked from the operands alone), each
+   rung's planned elements are evaluated as one batch through the same
+   kernels a fixed-tier group uses, and each element is settled
+   against its own budget.  Results at an element's chosen tier are
+   therefore bitwise what a fixed-tier request with the zero-padded
+   operands would have returned, and every decision is the scalar
+   ladder's. *)
 
 module P = Protocol
 module A = Adaptive
@@ -39,6 +40,9 @@ type stats = {
 
 (* --- per-tier execution --------------------------------------------- *)
 
+let sla_op (r : P.request) = A.Sla.of_wire ~op:(P.op_name r.P.op) ~prog:r.P.prog
+let sla_inputs (r : P.request) = { A.Sla.x = r.P.x; y = r.P.y; z = r.P.z }
+
 module Exec (M : Multifloat.Ops.S) (V : Multifloat.Batch.V with type elt = M.t) =
 struct
   module E = Multifloat.Elementary.Make (M)
@@ -47,72 +51,27 @@ struct
   let elt c = M.of_components c
   let comps e = M.components e
 
-  (* Scalar reference path: plain scalar kernels, index order. *)
+  (* Scalar reference path: plain scalar kernels, index order.  The
+     certifiable ops are the ladder's own evaluator's. *)
   let eval_one (r : P.request) : float array array =
     let x i = elt r.x.(i) in
-    let y i = elt r.y.(i) in
     let one v = [| comps v |] in
     match r.op with
-    | P.Add -> one (M.add (x 0) (y 0))
-    | P.Mul -> one (M.mul (x 0) (y 0))
-    | P.Div -> one (M.div (x 0) (y 0))
-    | P.Sqrt -> one (M.sqrt (x 0))
     | P.Exp -> one (E.exp (x 0))
     | P.Log -> one (E.log (x 0))
     | P.Sin -> one (E.sin (x 0))
-    | P.Dot ->
-        let acc = ref M.zero in
-        for i = 0 to Array.length r.x - 1 do
-          acc := M.add !acc (M.mul (x i) (y i))
-        done;
-        one !acc
-    | P.Axpy ->
-        let alpha = y 0 in
-        Array.init (Array.length r.x) (fun i ->
-            comps (M.add (M.mul alpha (x i)) (y (i + 1))))
-    | P.Sum ->
-        let acc = ref M.zero in
-        for i = 0 to Array.length r.x - 1 do
-          acc := M.add !acc (x i)
-        done;
-        one !acc
-    | P.Poly_eval -> one (Poly.eval (Array.map elt r.x) (y 0))
-    | P.Program -> (
-        (* op-by-op scalar composition: the unfused reference the fused
-           planar chains below are pinned against *)
-        match r.prog with
-        | [ "sum" ] ->
-            let acc = ref M.zero in
-            for i = 0 to Array.length r.x - 1 do
-              acc := M.add !acc (x i)
-            done;
-            one !acc
-        | [ "mul"; "sum" ] ->
-            let n = Array.length r.x in
-            let t = Array.init n (fun i -> M.mul (x i) (y i)) in
-            let acc = ref M.zero in
-            for i = 0 to n - 1 do
-              acc := M.add !acc t.(i)
-            done;
-            one !acc
-        | [ "axpy"; "dot" ] ->
-            let n = Array.length r.x in
-            let alpha = y 0 in
-            let z i = elt r.z.(i) in
-            let ynew = Array.init n (fun i -> M.add (M.mul alpha (x i)) (y (i + 1))) in
-            let acc = ref M.zero in
-            for i = 0 to n - 1 do
-              acc := M.add !acc (M.mul ynew.(i) (z i))
-            done;
-            Array.append [| comps !acc |] (Array.map comps ynew)
-        | chain ->
-            invalid_arg
-              (Printf.sprintf "Serve.Batcher: unsupported program %S" (P.program_name chain)))
+    | P.Poly_eval -> one (Poly.eval (Array.map elt r.x) (elt r.y.(0)))
     | P.Stats -> invalid_arg "Serve.Batcher: stats is not a compute op"
+    | _ -> (
+        match sla_op r with
+        | Some op -> A.Eval.eval ~terms:M.terms op (sla_inputs r)
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Serve.Batcher: unsupported program %S" (P.program_name r.prog)))
 
-    (* Per-request evaluation on the batched path.  Vector ops go
-       through the planar kernels; their accumulation orders match the
-       scalar folds above by the Batch contract. *)
+  (* Per-request evaluation on the batched path.  Vector ops go
+     through the planar kernels; their accumulation orders match the
+     scalar folds of eval_one by the Batch contract. *)
   let eval_vec (r : P.request) : float array array =
     match r.op with
     | P.Dot ->
@@ -213,12 +172,6 @@ module X2 = Exec (Multifloat.Mf2) (Multifloat.Batch.Mf2v)
 module X3 = Exec (Multifloat.Mf3) (Multifloat.Batch.Mf3v)
 module X4 = Exec (Multifloat.Mf4) (Multifloat.Batch.Mf4v)
 
-let tier_of_terms = function
-  | 2 -> P.Mf2
-  | 3 -> P.Mf3
-  | 4 -> P.Mf4
-  | n -> invalid_arg (Printf.sprintf "Serve.Batcher.tier_of_terms: %d" n)
-
 (* The fixed-tier twin of an SLA request at one ladder rung: operands
    zero-padded (exact) to the rung's width, the sla dropped.  This is
    the request whose direct evaluation the SLA path must match
@@ -227,7 +180,7 @@ let pad_request ~terms (r : P.request) =
   let pad rows = Array.map (A.Sla.pad_element ~terms) rows in
   {
     r with
-    P.tier = tier_of_terms terms;
+    P.tier = P.tier_of_terms terms;
     sla = None;
     x = pad r.P.x;
     y = pad r.P.y;
@@ -240,24 +193,14 @@ let eval_fixed (r : P.request) =
   | P.Mf3 -> X3.eval_one r
   | P.Mf4 -> X4.eval_one r
 
-let sla_inputs (r : P.request) = { A.Sla.x = r.P.x; y = r.P.y; z = r.P.z }
-
-(* Scalar reference path for SLA requests: the full escalation ladder,
-   each rung evaluated by this tier's own scalar kernels. *)
+(* Scalar reference path for SLA requests: the escalation ladder with
+   each rung evaluated by the scalar kernels. *)
 let eval_adaptive (r : P.request) : (A.Escalate.outcome, string) result =
-  match r.P.sla with
-  | None -> Error "request carries no sla"
-  | Some q -> (
-      match A.Sla.of_wire ~op:(P.op_name r.P.op) ~prog:r.P.prog with
-      | None -> Error (Printf.sprintf "op %s cannot carry an sla" (P.op_name r.P.op))
-      | Some op ->
-          let eval ~terms (inp : A.Sla.inputs) =
-            eval_fixed
-              { r with P.tier = tier_of_terms terms; sla = None;
-                x = inp.A.Sla.x; y = inp.A.Sla.y; z = inp.A.Sla.z }
-          in
-          try A.Escalate.run ~eval ~q ~op (sla_inputs r)
-          with e -> Error (Printexc.to_string e))
+  match (r.P.sla, sla_op r) with
+  | None, _ -> Error "request carries no sla"
+  | Some _, None -> Error (Printf.sprintf "op %s cannot carry an sla" (P.op_name r.P.op))
+  | Some q, Some op -> (
+      try A.Escalate.run ~q ~op (sla_inputs r) with e -> Error (Printexc.to_string e))
 
 let eval_one (r : P.request) =
   match (r.P.op, r.P.sla) with
@@ -285,10 +228,6 @@ let shed_bucket (req : P.request) =
   match req.P.sla with
   | None -> 0
   | Some q -> if q <= 50 then 1 else if q <= 100 then 2 else if q <= 150 then 3 else 4
-
-(* The escalation ladder's display order; unknown labels (never
-   produced today) would sort last. *)
-let tier_order = [ "mf2"; "mf3"; "mf4"; "bigfloat" ]
 
 type t = {
   sched : Runtime.Sched.t;
@@ -379,120 +318,77 @@ let run_fixed_group t (arr : entry array) =
       count_batch t n;
       Array.iter (fun en -> en.reply (P.Failed { id = en.req.P.id; error = msg })) arr
 
-(* One escalation cohort: evaluate the whole pending subset per tier
-   through the same batched kernels a fixed-tier group uses, certify
-   each element against its own q, carry only the failing indices to
-   the next rung, finish stragglers in the bigfloat fallback. *)
+(* One SLA cohort in three steps: plan every element, evaluate each
+   rung's planned elements as one batch through the same kernels a
+   fixed-tier group uses, settle each element.  If evaluating or
+   settling raises, every element not yet settled fails with the
+   exception's text. *)
 let run_sla_group t (arr : entry array) =
   let n = Array.length arr in
-  let start_terms = P.tier_terms arr.(0).req.P.tier in
-  let results = Array.make n [||] in
-  let bounds = Array.make n Float.infinity in
-  let chosen = Array.make n "" in
-  let failed = Array.make n None in
-  let hops = Array.make n 0 in
-  let meta =
+  let plans =
     Array.map
       (fun e ->
-        match (A.Sla.of_wire ~op:(P.op_name e.req.P.op) ~prog:e.req.P.prog, e.req.P.sla) with
-        | Some op, Some q -> Some (op, q)
-        | _ -> None)
+        match (sla_op e.req, e.req.P.sla) with
+        | Some op, Some q -> (
+            try A.Escalate.plan ~q ~op (sla_inputs e.req)
+            with ex -> Error (Printexc.to_string ex))
+        | _ -> Error "not an sla-certifiable request")
       arr
   in
-  let pending = ref [] in
-  for i = n - 1 downto 0 do
-    match meta.(i) with
-    | Some _ -> pending := i :: !pending
-    | None -> failed.(i) <- Some "not an sla-certifiable request"
-  done;
+  let rung i = match plans.(i) with Ok p -> p.A.Escalate.terms | Error _ -> 0 in
+  let settled = Array.make n None in
+  let failure = ref "" in
   (try
-     let terms = ref start_terms in
-     while !pending <> [] && !terms <= A.Sla.max_terms do
-       let last = !terms = A.Sla.max_terms in
-       (* a rung only evaluates the requests it will certify: the
-          static certificate needs no result, so a request whose
-          static bound misses here hops to the next rung un-evaluated.
-          The last rung evaluates everyone left — its ball certificate
-          does need the result. *)
-       let evals, skips =
-         List.partition
-           (fun i ->
-             last
-             ||
-             let op, q = Option.get meta.(i) in
-             let inp = sla_inputs arr.(i).req in
-             A.Certify.static_bound op ~terms:!terms inp
-             <= A.Certify.threshold ~q ~scale:(A.Certify.scale op inp))
-           !pending
-       in
-       let idxs = Array.of_list evals in
-       let still = ref [] in
-       if Array.length idxs > 0 then begin
-         let padded = Array.map (fun i -> pad_request ~terms:!terms arr.(i).req) idxs in
+     for terms = A.Sla.min_terms to A.Sla.max_terms do
+       let idxs = Array.of_list (List.filter (fun i -> rung i = terms) (List.init n Fun.id)) in
+       if idxs <> [||] then begin
+         let padded = Array.map (fun i -> pad_request ~terms arr.(i).req) idxs in
          let res =
            Runtime.Sched.run t.sched (fun () ->
-               eval_batch t.sched (tier_of_terms !terms) padded)
+               eval_batch t.sched (P.tier_of_terms terms) padded)
          in
          Array.iteri
            (fun k i ->
-             let op, q = Option.get meta.(i) in
-             let bound, met =
-               A.Certify.certify op ~terms:!terms ~q (sla_inputs arr.(i).req) res.(k)
-             in
-             if met then begin
-               results.(i) <- res.(k);
-               bounds.(i) <- bound;
-               chosen.(i) <- A.Sla.tier_name_of_terms !terms
-             end
-             else begin
-               hops.(i) <- hops.(i) + 1;
-               still := i :: !still
-             end)
+             settled.(i) <- Some (A.Escalate.settle (Result.get_ok plans.(i)) res.(k)))
            idxs
-       end;
-       List.iter (fun i -> hops.(i) <- hops.(i) + 1) skips;
-       pending := List.merge compare (List.rev !still) skips;
-       incr terms
-     done;
-     List.iter
-       (fun i ->
-         let op, _ = Option.get meta.(i) in
-         let o =
-           A.Escalate.bigfloat_outcome op (sla_inputs arr.(i).req)
-             ~escalations:hops.(i)
-         in
-         results.(i) <- o.A.Escalate.result;
-         bounds.(i) <- o.A.Escalate.bound;
-         chosen.(i) <- o.A.Escalate.chosen)
-       !pending;
-     pending := []
-   with e ->
-     let msg = Printexc.to_string e in
-     List.iter (fun i -> failed.(i) <- Some msg) !pending;
-     pending := []);
-  let n_fail = Array.fold_left (fun a f -> if f = None then a else a + 1) 0 failed in
+       end
+     done
+   with e -> failure := Printexc.to_string e);
+  let outcomes =
+    Array.mapi
+      (fun i plan ->
+        match (plan, settled.(i)) with
+        | Ok _, Some o -> Ok o
+        | Ok _, None -> Error !failure
+        | Error msg, _ -> Error msg)
+      plans
+  in
+  let n_fail = Array.fold_left (fun a o -> if Result.is_ok o then a else a + 1) 0 outcomes in
   M.add t.completed_ctr (n - n_fail);
   M.add t.errors_ctr n_fail;
   M.add t.sla_requests_ctr n;
-  M.add t.sla_escalations_ctr (Array.fold_left ( + ) 0 hops);
-  Array.iteri
-    (fun i f -> if f = None then M.incr (member t ("serve.sla.chosen." ^ chosen.(i))))
-    failed;
+  Array.iter
+    (function
+      | Ok (o : A.Escalate.outcome) ->
+          M.add t.sla_escalations_ctr o.escalations;
+          M.incr (member t ("serve.sla.chosen." ^ o.chosen))
+      | Error _ -> ())
+    outcomes;
   count_batch t n;
   let now = Obs.Clock.now_ns () in
   Array.iteri
     (fun i e ->
-      match failed.(i) with
-      | Some error -> e.reply (P.Failed { id = e.req.P.id; error })
-      | None ->
+      match outcomes.(i) with
+      | Ok o ->
           M.observe t.latency_hist (now -. e.arrival_ns);
-          (match List.assoc_opt chosen.(i) t.sla_latency_hists with
+          (match List.assoc_opt o.chosen t.sla_latency_hists with
           | Some h -> M.observe h (now -. e.arrival_ns)
           | None -> ());
           e.reply
             (P.Result
-               { id = e.req.P.id; result = results.(i); batch = n;
-                 chosen = Some chosen.(i); bound = Some bounds.(i) }))
+               { id = e.req.P.id; result = o.result; batch = n; chosen = Some o.chosen;
+                 bound = Some o.bound })
+      | Error error -> e.reply (P.Failed { id = e.req.P.id; error }))
     arr
 
 let run_group t (group : entry list) =
@@ -545,7 +441,7 @@ let create ~sched ~queue ~max_batch ~window_ns ?(flush = fun () -> ()) () =
       shed_ctrs = Array.map (fun b -> ctr ("shed." ^ b)) shed_buckets;
       latency_hist = hist "latency_ns";
       sla_latency_hists =
-        List.map (fun tier -> (tier, hist ("sla.latency_ns." ^ tier))) tier_order;
+        List.map (fun tier -> (tier, hist ("sla.latency_ns." ^ tier))) A.Sla.rungs;
       members = Hashtbl.create 16;
       domain = None;
     }
@@ -561,13 +457,6 @@ let join t =
       t.domain <- None
 
 let metrics t = t.metrics
-
-let tier_rank name =
-  let rec go i = function
-    | [] -> List.length tier_order
-    | t :: rest -> if t = name then i else go (i + 1) rest
-  in
-  go 0 tier_order
 
 let stats_of snap : stats =
   let count name = M.count snap ("serve." ^ name) in
@@ -586,7 +475,8 @@ let stats_of snap : stats =
     sla_escalations = count "sla_escalations";
     sla_chosen =
       M.family snap "serve.sla.chosen."
-      |> List.sort (fun (a, _) (b, _) -> compare (tier_rank a, a) (tier_rank b, b));
+      |> List.sort (fun (a, _) (b, _) ->
+             compare (A.Sla.rung_rank a, a) (A.Sla.rung_rank b, b));
   }
 
 let stats t = stats_of (M.snapshot t.metrics)

@@ -12,11 +12,14 @@
     runs as one single-pass wire-program kernel.  Results scatter back
     through each request's reply callback.
 
-    SLA requests form escalation cohorts per (op, starting tier): the
-    whole pending subset is batch-evaluated per tier, each element
-    certified against its own budget ({!Adaptive.Certify.certify}),
-    and only the failing subset — a per-element escalation mask —
-    climbs to the next rung (bigfloat fallback last).
+    SLA requests form cohorts per (op, starting tier), served by
+    {!Adaptive.Escalate}'s ladder in three steps: every element is
+    planned ({!Adaptive.Escalate.plan} picks its rung from the operands
+    alone), each rung's planned elements are evaluated as one batch,
+    and every element is settled against its own budget
+    ({!Adaptive.Escalate.settle}: static bound, mf4's ball
+    certificate, or the bigfloat fallback).  If evaluating or settling
+    raises, the elements not yet settled are answered [Failed].
 
     Responses are bitwise identical to the scalar path ({!eval_one})
     for every op and tier: the packed ops ride the planar kernels'
@@ -100,16 +103,16 @@ val stats : t -> stats
 
 val eval_one : Protocol.request -> (float array array, string) result
 (** The scalar path: evaluate one request with the scalar MultiFloat
-    kernels, no batching, no scheduler.  Tests pin the served batched
-    responses bitwise against this.  For SLA requests this runs the
-    full escalation ladder ({!eval_adaptive}) and returns its result. *)
+    kernels ({!Adaptive.Eval} for the certifiable ops), no batching, no
+    scheduler.  Tests pin the served batched responses bitwise against
+    this.  For SLA requests this runs the full escalation ladder
+    ({!eval_adaptive}) and returns its result. *)
 
 val eval_adaptive : Protocol.request -> (Adaptive.Escalate.outcome, string) result
-(** Scalar escalation reference for an SLA request: each ladder rung
-    evaluated by that tier's own scalar kernels.  The served cohort
-    path makes the same certification decisions over the same
-    (bitwise-identical) batched results, so its responses match this
-    outcome exactly. *)
+(** Scalar escalation reference for an SLA request:
+    {!Adaptive.Escalate.run}.  The served cohort path plans and settles
+    through the same two calls, around bitwise-identical batched
+    evaluations, so its responses match this outcome exactly. *)
 
 val pad_request : terms:int -> Protocol.request -> Protocol.request
 (** The fixed-tier twin of an SLA request at one ladder rung: operands

@@ -52,15 +52,7 @@ let connect_sockaddr ?deadline_ms sa =
     deadline_ms;
   }
 
-let connect ?deadline_ms (addr : Server.addr) =
-  match addr with
-  | Server.Unix_path path -> connect_sockaddr ?deadline_ms (Unix.ADDR_UNIX path)
-  | Server.Tcp { host; port } ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with _ -> (Unix.gethostbyname host).h_addr_list.(0)
-      in
-      connect_sockaddr ?deadline_ms (Unix.ADDR_INET (ip, port))
+let connect ?deadline_ms addr = connect_sockaddr ?deadline_ms (Server.sockaddr_of_addr addr)
 
 let close t = try Unix.close t.fd with _ -> ()
 

@@ -10,6 +10,12 @@ module J = Obs.Json_out
 type tier = Mf2 | Mf3 | Mf4
 
 let tier_terms = function Mf2 -> 2 | Mf3 -> 3 | Mf4 -> 4
+
+let tier_of_terms = function
+  | 2 -> Mf2
+  | 3 -> Mf3
+  | 4 -> Mf4
+  | n -> invalid_arg (Printf.sprintf "Serve.Protocol.tier_of_terms: %d" n)
 let tier_name = function Mf2 -> "mf2" | Mf3 -> "mf3" | Mf4 -> "mf4"
 
 let tier_of_name = function
@@ -304,29 +310,17 @@ let request_of_json doc =
         match (tier_opt, sla) with
         | Some t, _ -> Ok t
         | None, None -> assert false
-        | None, Some q ->
-            (* an SLA stands in for the tier: validate the budget, the
-               op's certifiability, and the operand shape, then start
-               the ladder at the cheapest tier holding the operands *)
-            if q < Adaptive.Sla.q_min || q > Adaptive.Sla.q_max then
-              Error
-                (Printf.sprintf "sla %d out of range [%d, %d]" q Adaptive.Sla.q_min
-                   Adaptive.Sla.q_max)
-            else if Adaptive.Sla.of_wire ~op:(op_name op) ~prog = None then
-              Error
-                (Printf.sprintf "op %s cannot carry an sla (certifiable ops: %s)"
-                   (op_name op)
-                   (String.concat ", " Adaptive.Sla.supported_wire_ops))
-            else if not (Adaptive.Sla.finite { Adaptive.Sla.x; y; z }) then
-              Error "sla requires finite operand components"
-            else (
-              match Adaptive.Sla.width { Adaptive.Sla.x; y; z } with
-              | Some w when w <= Adaptive.Sla.max_terms -> (
-                  match Adaptive.Sla.start_terms ~width:w with
-                  | 2 -> Ok Mf2
-                  | 3 -> Ok Mf3
-                  | _ -> Ok Mf4)
-              | _ -> Error "sla operands must have a uniform element width of 1..4 components")
+        | None, Some q -> (
+            (* an SLA stands in for the tier: the op must be certifiable,
+               and the budget and operands pass the ladder's own
+               admission check, which names the starting tier *)
+            match Adaptive.Sla.of_wire ~op:(op_name op) ~prog with
+            | None ->
+                Error
+                  (Printf.sprintf "op %s cannot carry an sla (certifiable ops: %s)"
+                     (op_name op)
+                     (String.concat ", " Adaptive.Sla.supported_wire_ops))
+            | Some _ -> Result.map tier_of_terms (Adaptive.Sla.check ~q { Adaptive.Sla.x; y; z }))
       in
       Ok { id; op; tier; sla; deadline_ms; prog; x; y; z }
 

@@ -21,6 +21,10 @@
 type tier = Mf2 | Mf3 | Mf4
 
 val tier_terms : tier -> int
+
+val tier_of_terms : int -> tier
+(** Inverse of {!tier_terms}; raises [Invalid_argument] outside 2..4. *)
+
 val tier_name : tier -> string
 val tier_of_name : string -> tier option
 

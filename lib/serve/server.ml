@@ -528,24 +528,29 @@ let io_loop t =
 
 (* --- lifecycle ------------------------------------------------------ *)
 
-let bind_listen addr =
-  match addr with
-  | Unix_path path ->
-      (try Unix.unlink path with _ -> ());
-      let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-      Unix.bind fd (ADDR_UNIX path);
-      Unix.listen fd 1024;
-      (fd, Unix.getsockname fd, Some path)
+let sockaddr_of_addr = function
+  | Unix_path path -> Unix.ADDR_UNIX path
   | Tcp { host; port } ->
       let ip =
         try Unix.inet_addr_of_string host
         with _ -> (Unix.gethostbyname host).h_addr_list.(0)
       in
-      let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-      Unix.setsockopt fd SO_REUSEADDR true;
-      Unix.bind fd (ADDR_INET (ip, port));
-      Unix.listen fd 1024;
-      (fd, Unix.getsockname fd, None)
+      Unix.ADDR_INET (ip, port)
+
+let bind_listen addr =
+  let sa = sockaddr_of_addr addr in
+  let unlink =
+    match addr with
+    | Unix_path path ->
+        (try Unix.unlink path with _ -> ());
+        Some path
+    | Tcp _ -> None
+  in
+  let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sa) SOCK_STREAM 0 in
+  if unlink = None then Unix.setsockopt fd SO_REUSEADDR true;
+  Unix.bind fd sa;
+  Unix.listen fd 1024;
+  (fd, Unix.getsockname fd, unlink)
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin

@@ -82,6 +82,10 @@ val bound_addr : t -> Unix.sockaddr
 (** The actual bound address (resolves [Tcp { port = 0; _ }]).  Raises
     [Invalid_argument] for an adopted server. *)
 
+val sockaddr_of_addr : addr -> Unix.sockaddr
+(** Resolve [addr]: a unix path as is, a TCP host as a numeric address
+    or else by name lookup (first address). *)
+
 val bind_listen : addr -> Unix.file_descr * Unix.sockaddr * string option
 (** Bind and listen on [addr]; returns the socket, its resolved
     address, and the unix-socket path to unlink on teardown.  Used by

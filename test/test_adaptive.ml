@@ -107,6 +107,38 @@ let test_bigfloat_rung () =
   Alcotest.(check bool) "meets the tightest admissible budget" true
     (o.E.bound <= AD.Certify.threshold ~q:AD.Sla.q_max ~scale:(AD.Certify.scale op inp))
 
+(* --- an overflowing magnitude sum keeps the scale an upper bound ------ *)
+
+(* Finite, so the wire decoder accepts it, but its component magnitudes
+   sum past max_float. *)
+let big = [| Float.max_float; 0x1p970 |]
+let zero2 = [| 0.0; 0.0 |]
+
+let test_scale_overflow () =
+  let row_mag r = Array.fold_left (fun a c -> a +. Float.abs c) 0.0 r in
+  List.iter
+    (fun (label, op, inp) ->
+      let scale = AD.Certify.scale op inp in
+      let o = run_exn ~q:10 ~op inp in
+      Array.iter
+        (fun r ->
+          if not (scale >= row_mag r) then
+            Alcotest.fail
+              (Printf.sprintf "%s: scale %h below a result row of magnitude %h" label scale
+                 (row_mag r)))
+        o.E.result;
+      Alcotest.(check string) (label ^ ": settles at its start rung") "mf2" o.E.chosen;
+      Alcotest.(check int) (label ^ ": no escalations") 0 o.E.escalations;
+      Alcotest.(check bool) (label ^ ": bound within threshold") true
+        (o.E.bound <= AD.Certify.threshold ~q:10 ~scale))
+    [ ("mul big x 0", AD.Sla.Mul, { AD.Sla.x = [| big |]; y = [| zero2 |]; z = [||] });
+      ( "axpy;dot with alpha 0",
+        AD.Sla.Chain [ "axpy"; "dot" ],
+        { AD.Sla.x = [| big |]; y = [| zero2; [| 1.0; 0.0 |] |]; z = [| [| 1.0; 0.0 |] |] } );
+      ( "axpy with alpha 0",
+        AD.Sla.Axpy,
+        { AD.Sla.x = [| big |]; y = [| zero2; [| 1.0; 0.0 |] |]; z = [||] } ) ]
+
 (* --- padding is exact ------------------------------------------------- *)
 
 let test_padding () =
@@ -204,6 +236,7 @@ let () =
         [ Alcotest.test_case "basics" `Quick test_ladder_basics;
           Alcotest.test_case "monotone in q" `Quick test_monotone_in_q;
           Alcotest.test_case "bigfloat rung" `Quick test_bigfloat_rung;
+          Alcotest.test_case "scale overflow stays an upper bound" `Quick test_scale_overflow;
           Alcotest.test_case "padding is exact" `Quick test_padding ] );
       ( "containment",
         [ Alcotest.test_case "ladder vs ball oracle" `Quick test_containment_smoke;

@@ -380,30 +380,59 @@ let test_batches_form () =
 (* --- adaptive SLA requests through the server ------------------------ *)
 
 let sla_requests () =
-  (* mixed ops and budgets over width-2 operands (the ladder starts at
-     mf2 for all of them, so the budget alone drives escalation) *)
-  let e i k =
-    let v = 1.0 +. (float_of_int ((17 * i) + k) /. 64.0) in
-    [| v; v *. 1e-18 |]
-  in
   let next = ref 0 in
   let fresh () = incr next; !next in
-  List.concat_map
-    (fun q ->
-      [ mk_req ~sla:q ~id:(fresh ()) ~op:P.Add ~tier:P.Mf2 ~x:[| e 1 0 |]
-          ~y:[| e 2 1 |] ();
-        mk_req ~sla:q ~id:(fresh ()) ~op:P.Mul ~tier:P.Mf2 ~x:[| e 3 0 |]
-          ~y:[| e 4 1 |] ();
-        mk_req ~sla:q ~id:(fresh ()) ~op:P.Div ~tier:P.Mf2 ~x:[| e 5 0 |]
-          ~y:[| e 6 1 |] ();
-        mk_req ~sla:q ~id:(fresh ()) ~op:P.Dot ~tier:P.Mf2
-          ~x:(Array.init 4 (fun i -> e i 0))
-          ~y:(Array.init 4 (fun i -> e i 1))
-          ();
-        mk_req ~sla:q ~id:(fresh ()) ~op:P.Sum ~tier:P.Mf2
-          ~x:(Array.init 5 (fun i -> e i 2))
-          ~y:[||] () ])
-    [ 20; 60; 100; 140; 180 ]
+  (* element k of a w-component operand: a nonoverlapping expansion *)
+  let e ?(w = 2) i k =
+    let v = 1.0 +. (float_of_int ((17 * i) + k) /. 64.0) in
+    Array.init w (fun j -> v *. (1e-18 ** float_of_int j))
+  in
+  let vec ?w n k = Array.init n (fun i -> e ?w i k) in
+  let req ?prog ?(z = [||]) ~q ~w op x y =
+    mk_req ~sla:q ?prog ~z ~id:(fresh ()) ~op ~tier:(P.tier_of_terms (max 2 w)) ~x ~y ()
+  in
+  (* every certifiable op spelling over w-component operands: the
+     ladder starts at mf2 for w <= 2, at mf3 and mf4 above *)
+  let all_ops ~w q =
+    [ req ~q ~w P.Add [| e ~w 1 0 |] [| e ~w 2 1 |];
+      req ~q ~w P.Mul [| e ~w 3 0 |] [| e ~w 4 1 |];
+      req ~q ~w P.Div [| e ~w 5 0 |] [| e ~w 6 1 |];
+      req ~q ~w P.Sqrt [| e ~w 7 0 |] [||];
+      req ~q ~w P.Dot (vec ~w 4 0) (vec ~w 4 1);
+      req ~q ~w P.Sum (vec ~w 5 2) [||];
+      req ~q ~w P.Axpy (vec ~w 3 0) (vec ~w 4 1);
+      req ~q ~w ~prog:[ "sum" ] P.Program (vec ~w 6 3) [||];
+      req ~q ~w ~prog:[ "mul"; "sum" ] P.Program (vec ~w 5 0) (vec ~w 5 2);
+      req ~q ~w ~prog:[ "axpy"; "dot" ] ~z:(vec ~w 4 3) P.Program (vec ~w 4 0) (vec ~w 5 1) ]
+  in
+  (* components that overlap, so the kernels' nonoverlap precondition
+     fails: at q = 200 mf4's ball misses and the bigfloat rung answers *)
+  let overlap ~sign i =
+    Array.init 3 (fun j ->
+        sign
+        *. Float.ldexp (1.0 +. (float_of_int (((7 * i) + (3 * j)) mod 13) /. 16.0))
+             (if (i + j) mod 2 = 0 then 2 else -1))
+  in
+  (* finite operands whose magnitude sum overflows, times an exact zero *)
+  let big = [| Float.max_float; 0x1p970 |] and zero = [| 0.0; 0.0 |] in
+  let one = [| 1.0; 0.0 |] in
+  List.concat_map (all_ops ~w:2) [ 20; 60; 100; 140; 180 ]
+  @ List.concat_map (fun w -> List.concat_map (all_ops ~w) [ 20; 100; 180 ]) [ 1; 3; 4 ]
+  (* long reductions at the tightest budgets: the static certificate
+     misses at mf4 and the ball certificate decides *)
+  @ List.concat_map
+      (fun q ->
+        List.concat_map
+          (fun n -> [ req ~q ~w:2 P.Sum (vec n 0) [||]; req ~q ~w:2 P.Dot (vec n 1) (vec n 2) ])
+          [ 40; 300 ])
+      [ 190; 197; 200 ]
+  @ [ req ~q:200 ~w:3 P.Dot
+        (Array.init 40 (overlap ~sign:1.0))
+        (Array.init 40 (fun i ->
+             overlap ~sign:(if (i + 5) mod 3 = 0 then -1.0 else 1.0) (i + 5)));
+      req ~q:10 ~w:2 P.Mul [| big |] [| zero |];
+      req ~q:10 ~w:2 ~prog:[ "axpy"; "dot" ] ~z:[| one |] P.Program [| big |] [| zero; one |];
+      req ~q:10 ~w:2 P.Axpy [| big |] [| zero; one |] ]
 
 let test_sla_end_to_end () =
   with_server ~queue_capacity:256 ~max_batch:32 ~window_us:1000. (fun srv addr ->
@@ -413,70 +442,103 @@ let test_sla_end_to_end () =
         (fun () ->
           let reqs = sla_requests () in
           let resps = Serve.Client.call_many cl reqs in
-          List.iter2
-            (fun (req : P.request) resp ->
-              let q = Option.get req.P.sla in
-              let label = Printf.sprintf "%s/sla=%d id=%d" (P.op_name req.P.op) q req.P.id in
-              match resp with
-              | P.Result { result; chosen; bound; _ } -> (
-                  let chosen =
-                    match chosen with
-                    | Some c -> c
-                    | None -> Alcotest.fail (label ^ ": no chosen tier on the reply")
-                  in
-                  let bound =
-                    match bound with
-                    | Some b -> b
-                    | None -> Alcotest.fail (label ^ ": no certified bound on the reply")
-                  in
-                  (* the certificate honours the SLA threshold *)
-                  (match
-                     Adaptive.Sla.of_wire ~op:(P.op_name req.P.op) ~prog:req.P.prog
-                   with
-                  | None -> Alcotest.fail (label ^ ": op not certifiable?")
-                  | Some op ->
-                      let inp =
-                        { Adaptive.Sla.x = req.P.x; y = req.P.y; z = req.P.z }
-                      in
-                      let scale = Adaptive.Certify.scale op inp in
-                      Alcotest.(check bool) (label ^ ": bound within threshold") true
-                        (bound <= Adaptive.Certify.threshold ~q ~scale));
-                  (* the served answer is bitwise the scalar ladder's, and —
-                     on a MultiFloat rung — the direct fixed-tier answer *)
-                  (match Serve.Batcher.eval_adaptive req with
-                  | Ok o ->
-                      check_elements label o.Adaptive.Escalate.result result;
-                      Alcotest.(check string) (label ^ ": chosen matches scalar ladder")
-                        o.Adaptive.Escalate.chosen chosen
-                  | Error e -> Alcotest.fail (label ^ ": scalar ladder failed: " ^ e));
-                  match chosen with
-                  | "mf2" | "mf3" | "mf4" -> (
-                      let terms =
-                        match chosen with "mf2" -> 2 | "mf3" -> 3 | _ -> 4
-                      in
-                      match
-                        Serve.Batcher.eval_one (Serve.Batcher.pad_request ~terms req)
-                      with
-                      | Ok twin -> check_elements (label ^ ": fixed-tier twin") twin result
-                      | Error e -> Alcotest.fail (label ^ ": twin failed: " ^ e))
-                  | "bigfloat" -> ()
-                  | t -> Alcotest.fail (label ^ ": unknown tier " ^ t))
-              | P.Shed { reason; _ } -> Alcotest.fail (label ^ ": shed " ^ reason)
-              | P.Failed { error; _ } -> Alcotest.fail (label ^ ": " ^ error)
-              | P.Stats_reply _ -> Alcotest.fail (label ^ ": stats?"))
-            reqs resps;
-          (* the stats document saw the SLA traffic *)
+          let outcomes =
+            List.map2
+              (fun (req : P.request) resp ->
+                let q = Option.get req.P.sla in
+                let label =
+                  Printf.sprintf "%s/sla=%d id=%d" (P.op_name req.P.op) q req.P.id
+                in
+                match resp with
+                | P.Result { result; chosen; bound; _ } ->
+                    let chosen =
+                      match chosen with
+                      | Some c -> c
+                      | None -> Alcotest.fail (label ^ ": no chosen tier on the reply")
+                    in
+                    let bound =
+                      match bound with
+                      | Some b -> b
+                      | None -> Alcotest.fail (label ^ ": no certified bound on the reply")
+                    in
+                    (* the certificate honours the SLA threshold *)
+                    (match
+                       Adaptive.Sla.of_wire ~op:(P.op_name req.P.op) ~prog:req.P.prog
+                     with
+                    | None -> Alcotest.fail (label ^ ": op not certifiable?")
+                    | Some op ->
+                        let inp =
+                          { Adaptive.Sla.x = req.P.x; y = req.P.y; z = req.P.z }
+                        in
+                        let scale = Adaptive.Certify.scale op inp in
+                        Alcotest.(check bool) (label ^ ": bound within threshold") true
+                          (bound <= Adaptive.Certify.threshold ~q ~scale));
+                    (* the served answer is bitwise the scalar ladder's —
+                       result, chosen rung and bound — and, on a
+                       MultiFloat rung, the direct fixed-tier answer *)
+                    let o =
+                      match Serve.Batcher.eval_adaptive req with
+                      | Ok o -> o
+                      | Error e -> Alcotest.fail (label ^ ": scalar ladder failed: " ^ e)
+                    in
+                    check_elements label o.Adaptive.Escalate.result result;
+                    Alcotest.(check string) (label ^ ": chosen matches scalar ladder")
+                      o.Adaptive.Escalate.chosen chosen;
+                    Alcotest.(check int64) (label ^ ": bound matches scalar ladder")
+                      (bits o.Adaptive.Escalate.bound) (bits bound);
+                    (match chosen with
+                    | "mf2" | "mf3" | "mf4" -> (
+                        let terms = match chosen with "mf2" -> 2 | "mf3" -> 3 | _ -> 4 in
+                        match
+                          Serve.Batcher.eval_one (Serve.Batcher.pad_request ~terms req)
+                        with
+                        | Ok twin -> check_elements (label ^ ": fixed-tier twin") twin result
+                        | Error e -> Alcotest.fail (label ^ ": twin failed: " ^ e))
+                    | "bigfloat" -> ()
+                    | t -> Alcotest.fail (label ^ ": unknown tier " ^ t));
+                    o
+                | P.Shed { reason; _ } -> Alcotest.fail (label ^ ": shed " ^ reason)
+                | P.Failed { error; _ } -> Alcotest.fail (label ^ ": " ^ error)
+                | P.Stats_reply _ -> Alcotest.fail (label ^ ": stats?"))
+              reqs resps
+          in
+          (* the stats document counts exactly what the scalar ladder
+             decided: escalations, and replies per rung *)
           let doc = Serve.Server.stats_doc srv in
           (match Obs.Schema.validate Obs.Schemas.serve_stats doc with
           | Ok () -> ()
           | Error vs -> Alcotest.fail (String.concat "; " vs));
-          match J.member "sla" doc with
-          | Some sla_doc ->
-              Alcotest.(check int) "sla requests counted" (List.length reqs)
-                (stats_int sla_doc "requests");
-              Alcotest.(check bool) "escalations counted" true
-                (stats_int sla_doc "escalations" >= 0)
-          | None -> Alcotest.fail "stats missing the sla block"))
+          let sla_doc =
+            match J.member "sla" doc with
+            | Some d -> d
+            | None -> Alcotest.fail "stats missing the sla block"
+          in
+          Alcotest.(check int) "sla requests counted" (List.length reqs)
+            (stats_int sla_doc "requests");
+          Alcotest.(check int) "escalations = scalar sum"
+            (List.fold_left (fun a (o : Adaptive.Escalate.outcome) -> a + o.escalations) 0
+               outcomes)
+            (stats_int sla_doc "escalations");
+          let served =
+            List.map
+              (fun row ->
+                match J.member "chosen" row with
+                | Some (J.Str t) -> (t, stats_int row "count")
+                | _ -> Alcotest.fail "sla.chosen row without a tier")
+              (stats_rows sla_doc "chosen")
+          in
+          List.iter
+            (fun tier ->
+              let n =
+                List.length
+                  (List.filter (fun (o : Adaptive.Escalate.outcome) -> o.chosen = tier) outcomes)
+              in
+              Alcotest.(check bool) (tier ^ ": rung reached") true (n > 0);
+              Alcotest.(check int) (tier ^ ": chosen = scalar count") n
+                (Option.value ~default:0 (List.assoc_opt tier served));
+              Alcotest.(check int) (tier ^ ": latency rows = chosen") n
+                (latency_count doc ("serve.sla.latency_ns." ^ tier)))
+            [ "mf2"; "mf3"; "mf4"; "bigfloat" ]))
 
 (* --- admission bound and explicit sheds ------------------------------ *)
 

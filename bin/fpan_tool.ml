@@ -695,7 +695,9 @@ let serve_cmd =
   let window_arg =
     Arg.(value & opt float 200.
          & info [ "window-us" ] ~docv:"US"
-             ~doc:"Batching window in microseconds (0 = batch-size-1 serving).")
+             ~doc:
+               "Batching window in microseconds (0 = no wait for stragglers; \
+                --max-batch 1 gives batch-size-1 serving).")
   in
   let shards_arg =
     Arg.(value & opt int 0
@@ -1406,8 +1408,6 @@ let loadgen_cmd =
    re-running with the same arguments reproduces the file byte for
    byte. *)
 
-let chaos_buckets = [| "fixed"; "q1-50"; "q51-100"; "q101-150"; "q151-200" |]
-
 let chaos_fd_count () =
   match Sys.readdir "/proc/self/fd" with
   | entries -> Array.length entries
@@ -1564,7 +1564,7 @@ let chaos_fleet_scenario ~seed ~shards ~requests (s : Chaos.Plan.scenario) =
     co_shed = 0;
     co_restarts = !kills;
     co_deaths = deaths;
-    co_shed_buckets = Array.make (Array.length chaos_buckets) 0;
+    co_shed_buckets = Array.make (Array.length Serve.Batcher.shed_buckets) 0;
   }
 
 (* The admission-overload scenario runs in-process: a bounded queue
@@ -1573,7 +1573,7 @@ let chaos_fleet_scenario ~seed ~shards ~requests (s : Chaos.Plan.scenario) =
 let chaos_admission_scenario ~seed ~requests (_s : Chaos.Plan.scenario) =
   let capacity = 8 in
   let q = Serve.Admission.create ~capacity in
-  let shed_buckets = Array.make (Array.length chaos_buckets) 0 in
+  let shed_buckets = Array.make (Array.length Serve.Batcher.shed_buckets) 0 in
   let shed = ref 0 in
   for n = 0 to requests - 1 do
     let h = Chaos.Rng.hash ~seed ~salt:0x0ad ~n in
@@ -1707,9 +1707,9 @@ let chaos_run seed shards requests scenarios_csv out =
         ("restarts", num o.co_restarts);
         ( "shed_by_bucket",
           J.List
-            (List.init (Array.length chaos_buckets) (fun i ->
+            (List.init (Array.length Serve.Batcher.shed_buckets) (fun i ->
                  J.Obj
-                   [ ("bucket", J.Str chaos_buckets.(i));
+                   [ ("bucket", J.Str Serve.Batcher.shed_buckets.(i));
                      ("count", num o.co_shed_buckets.(i)) ])) );
         ("passed", J.Bool sp) ]
   in

@@ -45,13 +45,19 @@ let ball_guard = 60
 let sum_abs (e : float array) = Array.fold_left (fun a c -> a +. Float.abs c) 0.0 e
 let sum_rows f rows = Array.fold_left (fun a e -> a +. f e) 0.0 rows
 
+(* [p], a product or quotient of nonzero magnitudes, rounded up to the
+   next double when it fell below the normal range: an underflow must
+   never read as an exact zero, which is the one scale that certifies
+   a bound of 0. *)
+let no_underflow p = if p < Float.min_float then Float.succ p else p
+
 (* Product of two magnitudes.  A magnitude sum that overflowed is
    infinity, and infinity times an exact zero is NaN, which would leave
    the scale below the result it must bound (and every comparison
    against the threshold false); the product stays infinite instead. *)
 let mag_mul a b =
   let p = a *. b in
-  if Float.is_nan p then Float.infinity else p
+  if Float.is_nan p then Float.infinity else if a > 0.0 && b > 0.0 then no_underflow p else p
 
 (* Lower bound on |value of e| computable in doubles: head magnitude
    minus the tail's magnitude sum, halved to absorb the rounding of
@@ -73,7 +79,9 @@ let scale op (inp : Sla.inputs) =
   | Sla.Div ->
       let num = sum_abs inp.x.(0) in
       let lo = abs_lower inp.y.(0) in
-      if lo > 0.0 then num /. lo else Float.infinity
+      if lo <= 0.0 then Float.infinity
+      else if num > 0.0 then no_underflow (num /. lo)
+      else 0.0
   | Sla.Sqrt -> Float.sqrt (sum_abs inp.x.(0))
   | Sla.Sum | Sla.Chain [ "sum" ] -> sum_rows sum_abs inp.x
   | Sla.Dot | Sla.Chain [ "mul"; "sum" ] ->
@@ -117,8 +125,17 @@ let static_c op ~n =
   | Sla.Axpy -> 8.0
   | Sla.Chain _ -> 32.0 *. n
 
+(* The tier's relative error bound assumes no gate underflows.  An
+   addition cannot lose bits to underflow (a subnormal sum is exact),
+   but a product or quotient whose error terms fall below the normal
+   range carries an absolute error of up to half the smallest subnormal
+   per gate, which a bound below the normal range does not cover: from
+   a nonzero scale, such a bound certifies nothing. *)
 let static_bound op ~n ~terms ~scale =
-  static_c op ~n:(float_of_int n) *. Float.ldexp scale (-q_of_terms terms)
+  let b = static_c op ~n:(float_of_int n) *. Float.ldexp scale (-q_of_terms terms) in
+  match op with
+  | Sla.Add | Sla.Sum | Sla.Chain [ "sum" ] -> b
+  | _ -> if scale > 0.0 && b < Float.min_float then Float.infinity else b
 
 (* --- ball certificate ------------------------------------------------ *)
 
@@ -136,43 +153,38 @@ let err_row_up ~prec (b : Arb.t) (res : float array) =
   let f = B.to_float total in
   if Float.is_nan f then Float.infinity else Float.succ (Float.abs f)
 
-let max_rows f n =
-  let m = ref 0.0 in
-  for i = 0 to n - 1 do
-    m := Float.max !m (f i)  (* f never yields nan: err_row_up maps it to inf *)
-  done;
-  !m
-
-let ball_bound op ~prec (inp : Sla.inputs) (result : float array array) =
+let enclosures op ~prec (inp : Sla.inputs) =
   let bx i = Arb.of_expansion ~prec inp.x.(i) in
   let by i = Arb.of_expansion ~prec inp.y.(i) in
   let bz i = Arb.of_expansion ~prec inp.z.(i) in
   let n = Array.length inp.x in
   match op with
-  | Sla.Add -> err_row_up ~prec (Arb.add (bx 0) (by 0)) result.(0)
-  | Sla.Mul -> err_row_up ~prec (Arb.mul (bx 0) (by 0)) result.(0)
-  | Sla.Div -> err_row_up ~prec (Arb.div (bx 0) (by 0)) result.(0)
-  | Sla.Sqrt -> err_row_up ~prec (Arb.sqrt (bx 0)) result.(0)
-  | Sla.Sum | Sla.Chain [ "sum" ] ->
-      err_row_up ~prec (Arb.Vec.sum ~prec (Array.init n bx)) result.(0)
+  | Sla.Add -> [| Arb.add (bx 0) (by 0) |]
+  | Sla.Mul -> [| Arb.mul (bx 0) (by 0) |]
+  | Sla.Div -> [| Arb.div (bx 0) (by 0) |]
+  | Sla.Sqrt -> [| Arb.sqrt (bx 0) |]
+  | Sla.Sum | Sla.Chain [ "sum" ] -> [| Arb.Vec.sum ~prec (Array.init n bx) |]
   | Sla.Dot | Sla.Chain [ "mul"; "sum" ] ->
-      err_row_up ~prec (Arb.Vec.dot ~prec (Array.init n bx) (Array.init n by)) result.(0)
+      [| Arb.Vec.dot ~prec (Array.init n bx) (Array.init n by) |]
   | Sla.Axpy ->
-      let rows =
-        Arb.Vec.axpy ~alpha:(by 0) ~x:(Array.init n bx)
-          ~y:(Array.init n (fun i -> by (i + 1)))
-      in
-      max_rows (fun i -> err_row_up ~prec rows.(i) result.(i)) n
+      Arb.Vec.axpy ~alpha:(by 0) ~x:(Array.init n bx) ~y:(Array.init n (fun i -> by (i + 1)))
   | Sla.Chain [ "axpy"; "dot" ] ->
       let acc, ynew =
         Arb.Vec.axpy_dot ~prec ~alpha:(by 0) ~x:(Array.init n bx)
           ~y:(Array.init n (fun i -> by (i + 1)))
           ~z:(Array.init n bz)
       in
-      Float.max
-        (err_row_up ~prec acc result.(0))
-        (max_rows (fun i -> err_row_up ~prec ynew.(i) result.(i + 1)) n)
+      Array.append [| acc |] ynew
   | Sla.Chain c ->
       invalid_arg
-        (Printf.sprintf "Adaptive.Certify.ball_bound: unsupported chain %S"
+        (Printf.sprintf "Adaptive.Certify.enclosures: unsupported chain %S"
            (String.concat ";" c))
+
+(* multi-row results report the worst row; err_row_up never yields
+   nan (it maps it to infinity) *)
+let ball_bound op ~prec inp (result : float array array) =
+  let m = ref 0.0 in
+  Array.iteri
+    (fun i b -> m := Float.max !m (err_row_up ~prec b result.(i)))
+    (enclosures op ~prec inp);
+  !m

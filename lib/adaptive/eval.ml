@@ -1,8 +1,6 @@
 (* Canonical scalar tier evaluator for the certifiable ops: plain
-   scalar kernels in index order.  It is the serving layer's scalar
-   reference path for these ops (Serve.Batcher.eval_one), and by the
-   Batch contract its planar batched kernels run the same accumulation
-   orders. *)
+   scalar kernels in index order.  It is how the serving layer
+   evaluates these ops (Serve.Batcher.eval_one), batched or not. *)
 
 module Make (M : Multifloat.Ops.S) = struct
   let eval op (inp : Sla.inputs) : float array array =

@@ -4,9 +4,10 @@
 
    - containment: a high-precision ball enclosure of the true absolute
      error must sit within the certified bound the engine returned
-     (the oracle precision leaves ~2^-1150 of slack against bounds
-     that are never tighter than ~2^-460, so a flagged case is a real
-     certification bug, not oracle noise);
+     (the oracle's own enclosure error sits ~2^-1150 below the values
+     it measures, far under any nonzero bound, so a flagged case is a
+     real certification bug, not oracle noise; a bound of 0 must be an
+     exact result instead);
    - monotonicity: raising q (shrinking the budget) must never choose
      a *cheaper* tier — both certificates are q-independent, so the
      chosen rung is non-decreasing in q by construction, and this
@@ -50,17 +51,27 @@ let all_ops =
   [ Sla.Add; Sla.Mul; Sla.Div; Sla.Sqrt; Sla.Sum; Sla.Dot; Sla.Axpy;
     Sla.Chain [ "sum" ]; Sla.Chain [ "mul"; "sum" ]; Sla.Chain [ "axpy"; "dot" ] ]
 
+(* Leading exponents are drawn in -20..20, except in one case in
+   eight, which draws them in -560..-480: there a product of two
+   operands ranges from normal through tiny-but-normal to past the
+   smallest subnormal, and one element in eight (never a divisor) is
+   an exact zero. *)
 let gen_case rng ~width i =
   let op = List.nth all_ops (i mod List.length all_ops) in
-  let element ?(pos = false) () =
-    let v = Fpan.Gen.expansion rng ~n:width ~e0_min:(-20) ~e0_max:20 () in
-    if pos && v.(0) < 0.0 then Array.map Float.neg v else v
+  let tiny = Random.State.int rng 8 = 0 in
+  let e0_min, e0_max = if tiny then (-560, -480) else (-20, 20) in
+  let element ?(pos = false) ?(divisor = false) () =
+    if tiny && (not divisor) && Random.State.int rng 8 = 0 then Array.make width 0.0
+    else
+      let v = Fpan.Gen.expansion rng ~n:width ~e0_min ~e0_max () in
+      if pos && v.(0) < 0.0 then Array.map Float.neg v else v
   in
   let vec n = Array.init n (fun _ -> element ()) in
   let n = 2 + Random.State.int rng 5 in
   let x, y, z =
     match op with
-    | Sla.Add | Sla.Mul | Sla.Div -> ([| element () |], [| element () |], [||])
+    | Sla.Add | Sla.Mul -> ([| element () |], [| element () |], [||])
+    | Sla.Div -> ([| element () |], [| element ~divisor:true () |], [||])
     | Sla.Sqrt -> ([| element ~pos:true () |], [||], [||])
     | Sla.Sum | Sla.Chain [ "sum" ] -> (vec n, [||], [||])
     | Sla.Dot | Sla.Chain [ "mul"; "sum" ] -> (vec n, vec n, [||])
@@ -68,6 +79,18 @@ let gen_case rng ~width i =
     | Sla.Chain _ -> (vec n, vec (n + 1), vec n)
   in
   (op, { Sla.x; y; z })
+
+(* A bound of 0 claims an exact result, which the ball oracle cannot
+   confirm: its Float.succ floor reads 2^-1074 even for an exact row.
+   The claim holds when every row's enclosure is a point equal to the
+   row. *)
+let exact op inp result =
+  Array.for_all2
+    (fun b row ->
+      Bigfloat.is_zero (Baselines.Arb.rad b)
+      && Bigfloat.compare (Baselines.Arb.mid b) (Bigfloat.of_expansion ~prec:oracle_prec row) = 0)
+    (Adaptive.Certify.enclosures op ~prec:oracle_prec inp)
+    result
 
 let run ?(cases = 2000) ?(seed = 42) () =
   let rng = Random.State.make [| 0x51a; seed |] in
@@ -84,7 +107,12 @@ let run ?(cases = 2000) ?(seed = 42) () =
           Adaptive.Certify.ball_bound op ~prec:oracle_prec inp
             o1.Adaptive.Escalate.result
         in
-        if not (true_err_up <= o1.Adaptive.Escalate.bound) then incr cont;
+        let bound = o1.Adaptive.Escalate.bound in
+        if
+          not
+            (true_err_up <= bound
+            || (bound = 0.0 && exact op inp o1.Adaptive.Escalate.result))
+        then incr cont;
         (match Sla.terms_of_rung o1.Adaptive.Escalate.chosen with
         | Some terms ->
             let direct = Adaptive.Eval.eval ~terms op (Sla.pad ~terms inp) in

@@ -327,17 +327,6 @@ let emit_tier buf tr =
   bpf buf "\n";
   emit_ew buf tr ~name:"mul" ~prog:(Front.mul_kernel tr.t) ~neg_y:false;
   bpf buf "\n";
-  bpf buf "  let map ~dst f src =\n";
-  bpf buf "    check2 \"Batch.map\" src dst;\n";
-  bpf buf "    for i = 0 to src.n - 1 do\n";
-  bpf buf "      set dst i (f (get src i))\n";
-  bpf buf "    done\n\n";
-  bpf buf "  let map2 ~dst f a b =\n";
-  bpf buf "    check2 \"Batch.map2\" a b;\n";
-  bpf buf "    check2 \"Batch.map2\" a dst;\n";
-  bpf buf "    for i = 0 to a.n - 1 do\n";
-  bpf buf "      set dst i (f (get a i) (get b i))\n";
-  bpf buf "    done\n\n";
   emit_axpy buf tr;
   bpf buf "\n";
   emit_madd buf tr;
@@ -452,13 +441,6 @@ module type V = sig
   val sub : dst:t -> t -> t -> unit
   val mul : dst:t -> t -> t -> unit
 
-  val map : dst:t -> (elt -> elt) -> t -> unit
-  (** [dst.(i) <- f src.(i)] in index order ([dst] may alias the
-      source): scalar-only operations over planar storage, bitwise the
-      scalar loop by construction. *)
-
-  val map2 : dst:t -> (elt -> elt -> elt) -> t -> t -> unit
-
   val axpy : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> unit
   (** [y.(i) <- add (mul alpha x.(i)) y.(i)] for [lo <= i < hi]. *)
 
@@ -537,19 +519,6 @@ module Mf1v = struct
     check2 "Batch.mul" a b;
     for i = 0 to a.n - 1 do
       F.unsafe_set dst.c0 i (F.unsafe_get a.c0 i *. F.unsafe_get b.c0 i)
-    done
-
-  let map ~dst f src =
-    check2 "Batch.map" src dst;
-    for i = 0 to src.n - 1 do
-      set dst i (f (get src i))
-    done
-
-  let map2 ~dst f a b =
-    check2 "Batch.map2" a b;
-    check2 "Batch.map2" a dst;
-    for i = 0 to a.n - 1 do
-      set dst i (f (get a i) (get b i))
     done
 
   let axpy ~lo ~hi ~alpha ~x ~y =
@@ -685,19 +654,6 @@ module Of_scalar (K : SCALAR) : V with type elt = K.t = struct
   let add ~dst a b = ew "Batch.add" K.add ~dst a b
   let sub ~dst a b = ew "Batch.sub" K.sub ~dst a b
   let mul ~dst a b = ew "Batch.mul" K.mul ~dst a b
-
-  let map ~dst f src =
-    check2 "Batch.map" src dst;
-    for i = 0 to src.n - 1 do
-      set dst i (f (get src i))
-    done
-
-  let map2 ~dst f a b =
-    check2 "Batch.map2" a b;
-    check2 "Batch.map2" a dst;
-    for i = 0 to a.n - 1 do
-      set dst i (f (get a i) (get b i))
-    done
 
   let axpy ~lo ~hi ~alpha ~x ~y =
     check2 "Batch.axpy" x y;

@@ -8,10 +8,8 @@
     gate and operand order match the scalar kernels exactly, so batched
     results are {e bitwise equal} to scalar loops over element arrays.
 
-    The implementation (batch.ml) is GENERATED from the FPAN wire
-    programs by [lib/fpan_ir] ([gen/gen_batch.ml]); a drift rule in
-    this directory's dune file diffs the committed file against a
-    fresh regeneration on every [dune runtest].
+    The implementation (batch.ml) is generated at build time from the
+    FPAN wire programs by [lib/fpan_ir] ([gen/gen_batch.ml]).
 
     This is the OCaml stand-in for the paper's cross-element
     autovectorization (Section 5): branch-freedom makes the element
@@ -54,16 +52,6 @@ module type V = sig
 
   val sub : dst:t -> t -> t -> unit
   val mul : dst:t -> t -> t -> unit
-
-  val map : dst:t -> (elt -> elt) -> t -> unit
-  (** [dst.(i) <- f src.(i)] in index order; [dst] may alias the
-      source.  Because the elements are independent, the result is
-      bitwise the scalar loop for any [f] — this is how scalar-only
-      operations (division, square root, the elementary functions) run
-      over planar batches. *)
-
-  val map2 : dst:t -> (elt -> elt -> elt) -> t -> t -> unit
-  (** Binary {!map}: [dst.(i) <- f a.(i) b.(i)]. *)
 
   val axpy : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> unit
   (** [y.(i) <- add (mul alpha x.(i)) y.(i)] for [lo <= i < hi]: the

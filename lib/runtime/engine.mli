@@ -17,7 +17,7 @@ module type ELT = sig
 end
 
 (** The planar-vector subset the engine needs — a structural subset of
-    both {!Blas.Numeric.VEC} and {!Multifloat.Batch.V}, so any batched
+    {!Multifloat.Batch.V} (which {!Blas.Numeric.VEC} is), so any batched
     arithmetic plugs in directly. *)
 module type VEC = sig
   type elt

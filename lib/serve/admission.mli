@@ -32,8 +32,9 @@ val pop_batch : 'a t -> max:int -> window_ns:int64 -> 'a list
 (** Block until at least one item is available (or the queue is closed
     and drained — then [[]]).  After the first item, keep popping up to
     [max] items, waiting at most [window_ns] measured from the first
-    pop for stragglers.  [window_ns = 0L] or [max = 1] degenerates to
-    batch-size-1 serving. *)
+    pop for stragglers.  [max = 1] degenerates to batch-size-1 serving;
+    [window_ns = 0L] returns every item already queued, up to [max],
+    without waiting. *)
 
 val close : 'a t -> unit
 (** Producers get [`Closed] from now on; the consumer drains what was

@@ -1,22 +1,21 @@
 (* Micro-batcher domain: pop — shed expired — group by (op, tier,
-   sla?) — execute each group as one batched kernel call — scatter
-   replies.
+   sla?) — evaluate each group's requests — scatter replies.
 
-   Bitwise discipline: every op either runs through the planar Batch
-   kernels (whose results are bitwise the scalar loop — the PR-1
-   obligation) or runs the same accumulation order as eval_one, so a
-   served response never differs from the scalar path by a single
-   bit, batched or not.
+   One evaluator: every request, batched or not, is evaluated by
+   [eval_fixed], the scalar kernels in index order, so a served
+   response is the scalar path's by construction whatever the batch.
+   A group fans its requests out over the scheduler with
+   [parallel_for]; the grouping decides the reply's [batch] field and
+   the SLA cohorts, not the arithmetic.
 
    SLA cohorts: requests carrying an accuracy SLA group by (op,
    starting tier).  The ladder itself is Adaptive.Escalate's: each
    element is planned (its rung picked from the operands alone), each
-   rung's planned elements are evaluated as one batch through the same
-   kernels a fixed-tier group uses, and each element is settled
-   against its own budget.  Results at an element's chosen tier are
-   therefore bitwise what a fixed-tier request with the zero-padded
-   operands would have returned, and every decision is the scalar
-   ladder's. *)
+   rung's planned elements are evaluated as one group exactly as a
+   fixed-tier group is, and each element is settled against its own
+   budget.  Results at an element's chosen tier are therefore bitwise
+   what a fixed-tier request with the zero-padded operands would have
+   returned, and every decision is the scalar ladder's. *)
 
 module P = Protocol
 module A = Adaptive
@@ -43,19 +42,17 @@ type stats = {
 let sla_op (r : P.request) = A.Sla.of_wire ~op:(P.op_name r.P.op) ~prog:r.P.prog
 let sla_inputs (r : P.request) = { A.Sla.x = r.P.x; y = r.P.y; z = r.P.z }
 
-module Exec (M : Multifloat.Ops.S) (V : Multifloat.Batch.V with type elt = M.t) =
-struct
+module Exec (M : Multifloat.Ops.S) = struct
   module E = Multifloat.Elementary.Make (M)
   module Poly = Multifloat.Poly.Make (M)
 
   let elt c = M.of_components c
-  let comps e = M.components e
 
-  (* Scalar reference path: plain scalar kernels, index order.  The
-     certifiable ops are the ladder's own evaluator's. *)
+  (* The scalar kernels, index order.  The certifiable ops are the
+     ladder's own evaluator's. *)
   let eval_one (r : P.request) : float array array =
     let x i = elt r.x.(i) in
-    let one v = [| comps v |] in
+    let one v = [| M.components v |] in
     match r.op with
     | P.Exp -> one (E.exp (x 0))
     | P.Log -> one (E.log (x 0))
@@ -68,109 +65,11 @@ struct
         | None ->
             invalid_arg
               (Printf.sprintf "Serve.Batcher: unsupported program %S" (P.program_name r.prog)))
-
-  (* Per-request evaluation on the batched path.  Vector ops go
-     through the planar kernels; their accumulation orders match the
-     scalar folds of eval_one by the Batch contract. *)
-  let eval_vec (r : P.request) : float array array =
-    match r.op with
-    | P.Dot ->
-        let n = Array.length r.x in
-        let vx = V.create n and vy = V.create n in
-        for i = 0 to n - 1 do
-          V.set vx i (elt r.x.(i));
-          V.set vy i (elt r.y.(i))
-        done;
-        [| comps (V.dot ~init:M.zero ~x:vx ~xoff:0 ~y:vy ~yoff:0 ~len:n) |]
-    | P.Axpy ->
-        let n = Array.length r.x in
-        let vx = V.create n and vy = V.create n in
-        for i = 0 to n - 1 do
-          V.set vx i (elt r.x.(i));
-          V.set vy i (elt r.y.(i + 1))
-        done;
-        V.axpy ~lo:0 ~hi:n ~alpha:(elt r.y.(0)) ~x:vx ~y:vy;
-        Array.init n (fun i -> comps (V.get vy i))
-    | P.Program -> (
-        (* each chain runs as ONE fused wire-program kernel; the fused
-           gate sequence is the op-by-op composition's by construction,
-           so results match eval_one bitwise *)
-        match r.prog with
-        | [ "sum" ] ->
-            let n = Array.length r.x in
-            let vx = V.create n in
-            for i = 0 to n - 1 do
-              V.set vx i (elt r.x.(i))
-            done;
-            [| comps (V.sum ~init:M.zero ~x:vx ~xoff:0 ~len:n) |]
-        | [ "mul"; "sum" ] ->
-            let n = Array.length r.x in
-            let vx = V.create n and vy = V.create n in
-            for i = 0 to n - 1 do
-              V.set vx i (elt r.x.(i));
-              V.set vy i (elt r.y.(i))
-            done;
-            [| comps (V.dot ~init:M.zero ~x:vx ~xoff:0 ~y:vy ~yoff:0 ~len:n) |]
-        | [ "axpy"; "dot" ] ->
-            let n = Array.length r.x in
-            let vx = V.create n and vy = V.create n and vz = V.create n in
-            for i = 0 to n - 1 do
-              V.set vx i (elt r.x.(i));
-              V.set vy i (elt r.y.(i + 1));
-              V.set vz i (elt r.z.(i))
-            done;
-            let acc = V.axpy_dot ~lo:0 ~hi:n ~alpha:(elt r.y.(0)) ~x:vx ~y:vy ~w:vz ~init:M.zero in
-            Array.append [| comps acc |] (Array.init n (fun i -> comps (V.get vy i)))
-        | _ -> eval_one r)
-    | _ -> eval_one r
-
-  (* One micro-batch of same-op same-tier requests -> one result per
-     request.  Elementwise ops make a single batched kernel call over
-     packed planes; the rest fan out per request. *)
-  let eval_batch sched (reqs : P.request array) : float array array array =
-    let n = Array.length reqs in
-    let pack proj =
-      let v = V.create n in
-      for i = 0 to n - 1 do
-        V.set v i (elt (proj reqs.(i)))
-      done;
-      v
-    in
-    let scatter dst = Array.init n (fun i -> [| comps (V.get dst i) |]) in
-    match reqs.(0).P.op with
-    | P.Add | P.Mul | P.Div ->
-        let vx = pack (fun r -> r.P.x.(0)) in
-        let vy = pack (fun r -> r.P.y.(0)) in
-        let dst = V.create n in
-        (match reqs.(0).P.op with
-        | P.Add -> V.add ~dst vx vy
-        | P.Mul -> V.mul ~dst vx vy
-        | _ -> V.map2 ~dst M.div vx vy);
-        scatter dst
-    | P.Sqrt | P.Exp | P.Log | P.Sin ->
-        let vx = pack (fun r -> r.P.x.(0)) in
-        let dst = V.create n in
-        let f =
-          match reqs.(0).P.op with
-          | P.Sqrt -> M.sqrt
-          | P.Exp -> E.exp
-          | P.Log -> E.log
-          | _ -> E.sin
-        in
-        V.map ~dst f vx;
-        scatter dst
-    | _ ->
-        let out = Array.make n [||] in
-        Runtime.Sched.parallel_for sched ~lo:0 ~hi:n (fun lo hi ->
-            for i = lo to hi - 1 do
-              out.(i) <- eval_vec reqs.(i)
-            done);
-        out
 end
 
-module X2 = Exec (Multifloat.Mf2) (Multifloat.Batch.Mf2v)
-module X3 = Exec (Multifloat.Mf3) (Multifloat.Batch.Mf3v)
-module X4 = Exec (Multifloat.Mf4) (Multifloat.Batch.Mf4v)
+module X2 = Exec (Multifloat.Mf2)
+module X3 = Exec (Multifloat.Mf3)
+module X4 = Exec (Multifloat.Mf4)
 
 (* The fixed-tier twin of an SLA request at one ladder rung: operands
    zero-padded (exact) to the rung's width, the sla dropped.  This is
@@ -209,11 +108,15 @@ let eval_one (r : P.request) =
   | _, None -> (
       try Ok (eval_fixed r) with e -> Error (Printexc.to_string e))
 
-let eval_batch sched tier (reqs : P.request array) =
-  match tier with
-  | P.Mf2 -> X2.eval_batch sched reqs
-  | P.Mf3 -> X3.eval_batch sched reqs
-  | P.Mf4 -> X4.eval_batch sched reqs
+(* One micro-batch -> one result per request, each request evaluated
+   by [eval_fixed] on its own. *)
+let eval_batch sched (reqs : P.request array) =
+  let out = Array.make (Array.length reqs) [||] in
+  Runtime.Sched.parallel_for sched ~lo:0 ~hi:(Array.length reqs) (fun lo hi ->
+      for i = lo to hi - 1 do
+        out.(i) <- eval_fixed reqs.(i)
+      done);
+  out
 
 (* --- the batcher domain --------------------------------------------- *)
 
@@ -295,10 +198,8 @@ let count_shed t req = M.incr t.shed_ctrs.(shed_bucket req)
    to its response instantly still sees itself in the stats *)
 let run_fixed_group t (arr : entry array) =
   let n = Array.length arr in
-  let tier = arr.(0).req.P.tier in
   match
-    Runtime.Sched.run t.sched (fun () ->
-        eval_batch t.sched tier (Array.map (fun e -> e.req) arr))
+    Runtime.Sched.run t.sched (fun () -> eval_batch t.sched (Array.map (fun e -> e.req) arr))
   with
   | results ->
       M.add t.completed_ctr n;
@@ -319,10 +220,9 @@ let run_fixed_group t (arr : entry array) =
       Array.iter (fun en -> en.reply (P.Failed { id = en.req.P.id; error = msg })) arr
 
 (* One SLA cohort in three steps: plan every element, evaluate each
-   rung's planned elements as one batch through the same kernels a
-   fixed-tier group uses, settle each element.  If evaluating or
-   settling raises, every element not yet settled fails with the
-   exception's text. *)
+   rung's planned elements as one group through [eval_batch], settle
+   each element.  If evaluating or settling raises, every element not
+   yet settled fails with the exception's text. *)
 let run_sla_group t (arr : entry array) =
   let n = Array.length arr in
   let plans =
@@ -343,10 +243,7 @@ let run_sla_group t (arr : entry array) =
        let idxs = Array.of_list (List.filter (fun i -> rung i = terms) (List.init n Fun.id)) in
        if idxs <> [||] then begin
          let padded = Array.map (fun i -> pad_request ~terms arr.(i).req) idxs in
-         let res =
-           Runtime.Sched.run t.sched (fun () ->
-               eval_batch t.sched (P.tier_of_terms terms) padded)
-         in
+         let res = Runtime.Sched.run t.sched (fun () -> eval_batch t.sched padded) in
          Array.iteri
            (fun k i ->
              settled.(i) <- Some (A.Escalate.settle (Result.get_ok plans.(i)) res.(k)))

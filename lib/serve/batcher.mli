@@ -4,30 +4,29 @@
     A dedicated domain pops up to [max_batch] requests per cycle
     (waiting at most [window_ns] after the first to let the batch
     fill), sheds the ones whose deadline already passed, groups the
-    rest by (op, tier, sla?), and executes each group as {e one}
-    batched planar kernel call on the shared {!Runtime.Sched} —
-    elementwise ops pack operands into {!Multifloat.Batch} planes,
-    per-request ops (dot, axpy, sum, poly-eval, program) fan out over
-    the group with [parallel_for]; a [program] request's fused chain
-    runs as one single-pass wire-program kernel.  Results scatter back
-    through each request's reply callback.
+    rest by (op, tier, sla?), and evaluates each group's requests with
+    [parallel_for] on the shared {!Runtime.Sched}.  Results scatter
+    back through each request's reply callback.
+
+    There is one evaluator: every request is evaluated on its own by
+    the scalar path ({!eval_one}), whatever group it lands in, so a
+    served response is {!eval_one}'s result by construction.  The
+    grouping sets each reply's [batch] field and forms the SLA
+    cohorts.
 
     SLA requests form cohorts per (op, starting tier), served by
     {!Adaptive.Escalate}'s ladder in three steps: every element is
     planned ({!Adaptive.Escalate.plan} picks its rung from the operands
-    alone), each rung's planned elements are evaluated as one batch,
+    alone), each rung's planned elements are evaluated as one group,
     and every element is settled against its own budget
     ({!Adaptive.Escalate.settle}: static bound, mf4's ball
     certificate, or the bigfloat fallback).  If evaluating or settling
     raises, the elements not yet settled are answered [Failed].
 
-    Responses are bitwise identical to the scalar path ({!eval_one})
-    for every op and tier: the packed ops ride the planar kernels'
-    bitwise-equals-scalar guarantee, and the per-request ops run the
-    same accumulation orders in both paths.
-
-    [max_batch = 1] or [window_ns = 0L] degenerates to batch-size-1
-    serving — the baseline the load generator compares against. *)
+    [max_batch = 1] gives batch-size-1 serving, the baseline the load
+    generator compares against.  [window_ns = 0L] does not: a cycle
+    then takes every entry already queued, up to [max_batch], without
+    waiting for more. *)
 
 type entry = {
   req : Protocol.request;
@@ -88,9 +87,12 @@ val count_shed : t -> Protocol.request -> unit
     counts once — the server's queue-full, closed and displaced sheds
     as well as the batcher's own deadline sheds. *)
 
+val shed_buckets : string array
+(** The five shed buckets in fixed order: [fixed], [q1-50], [q51-100],
+    [q101-150], [q151-200]. *)
+
 val shed_by_bucket : Obs.Metrics.snapshot -> (string * int) list
-(** All five buckets with their counts, in fixed order ([fixed],
-    [q1-50], [q51-100], [q101-150], [q151-200]). *)
+(** All five {!shed_buckets} with their counts, in that order. *)
 
 val stats_of : Obs.Metrics.snapshot -> stats
 (** The batcher's counts in a snapshot of {!metrics}. *)
@@ -104,15 +106,15 @@ val stats : t -> stats
 val eval_one : Protocol.request -> (float array array, string) result
 (** The scalar path: evaluate one request with the scalar MultiFloat
     kernels ({!Adaptive.Eval} for the certifiable ops), no batching, no
-    scheduler.  Tests pin the served batched responses bitwise against
-    this.  For SLA requests this runs the full escalation ladder
-    ({!eval_adaptive}) and returns its result. *)
+    scheduler.  The batcher evaluates every fixed-tier request through
+    the same function.  For SLA requests this runs the full escalation
+    ladder ({!eval_adaptive}) and returns its result. *)
 
 val eval_adaptive : Protocol.request -> (Adaptive.Escalate.outcome, string) result
 (** Scalar escalation reference for an SLA request:
     {!Adaptive.Escalate.run}.  The served cohort path plans and settles
-    through the same two calls, around bitwise-identical batched
-    evaluations, so its responses match this outcome exactly. *)
+    through the same two calls, around the same scalar evaluations, so
+    its responses match this outcome exactly. *)
 
 val pad_request : terms:int -> Protocol.request -> Protocol.request
 (** The fixed-tier twin of an SLA request at one ladder rung: operands

@@ -118,21 +118,23 @@ let key_of_request (r : P.request) =
         Buffer.add_char b ';';
         Buffer.add_string b step)
       r.P.prog;
-    let operand tag els =
-      Buffer.add_char b tag;
+    (* operands as raw bit patterns (signed zeros, NaN payloads and
+       subnormals stay distinct), each operand prefixed by its element
+       count and each element by its width: fixed-size words, so no
+       delimiters are needed *)
+    let word n = Buffer.add_int64_le b (Int64.of_int n) in
+    let operand els =
+      word (Array.length els);
       Array.iter
         (fun comps ->
-          Buffer.add_char b '[';
-          Array.iter
-            (fun c ->
-              Buffer.add_string b (P.float_to_wire c);
-              Buffer.add_char b ',')
-            comps)
+          word (Array.length comps);
+          Array.iter (fun c -> Buffer.add_int64_le b (Int64.bits_of_float c)) comps)
         els
     in
-    operand '|' r.P.x;
-    operand '|' r.P.y;
-    operand '|' r.P.z;
+    Buffer.add_char b '|';
+    operand r.P.x;
+    operand r.P.y;
+    operand r.P.z;
     Some (Buffer.contents b)
   end
 

@@ -1,10 +1,10 @@
 (** Memoizing hot-path cache for repeated scalar requests.
 
     A bounded LRU keyed on the request's exact identity: operation,
-    tier, program chain, and every operand component rendered through
-    {!Protocol.float_to_wire} — one key string per distinct bit
-    pattern, so [0.0] vs [-0.0], subnormals, and NaN payloads never
-    collapse onto each other.  The cached value is the full result
+    tier, SLA exponent, program chain, and every operand component's
+    bit pattern ([Int64.bits_of_float]) — one key string per distinct
+    bit pattern, so [0.0] vs [-0.0], subnormals, and NaN payloads
+    never collapse onto each other.  The cached value is the full result
     component array; replaying it re-encodes through the same
     deterministic emitter, so a hit is bitwise-identical to the miss
     that populated it {e by construction}.

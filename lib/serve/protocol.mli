@@ -39,9 +39,9 @@ type op =
   | Sum  (** index-order fold of x *)
   | Poly_eval  (** Horner: coefficients x (low degree first) at point y *)
   | Program
-      (** A fused multi-op chain named by [prog] (one of {!programs}),
-          executed as a single-pass wire program — bitwise the op-by-op
-          composition.  [["mul"; "sum"]] takes x and y (same length)
+      (** A multi-op chain named by [prog] (one of {!programs}),
+          evaluated as the op-by-op composition — bitwise what the
+          chain's fused single-pass wire program computes.  [["mul"; "sum"]] takes x and y (same length)
           and returns the scalar sum of the products; [["axpy"; "dot"]]
           takes x, y = alpha followed by a vector of x's length, and z
           of x's length, returning the dot of the updated y against z
@@ -58,7 +58,7 @@ val arity : op -> int
 (** Operand vectors consumed: 0 ([Stats]), 1 ([Sqrt], [Exp], ...), 2. *)
 
 val programs : string list list
-(** The fused chains a [Program] request may name. *)
+(** The chains a [Program] request may name. *)
 
 val program_name : string list -> string
 (** Display name of a chain: steps joined with [";"]. *)
@@ -77,7 +77,7 @@ type request = {
           the certifiable ops qualify ({!Adaptive.Sla.of_wire});
           mutually exclusive with an explicit wire [tier]. *)
   deadline_ms : float option;  (** serving budget from arrival; shed after *)
-  prog : string list;  (** fused chain for [Program]; empty otherwise *)
+  prog : string list;  (** chain for [Program]; empty otherwise *)
   x : float array array;  (** elements x components *)
   y : float array array;
   z : float array array;  (** third operand of [["axpy"; "dot"]]; empty otherwise *)
@@ -105,9 +105,8 @@ val response_id : response -> int
 val float_to_wire : float -> string
 (** The exact hex-float transport encoding of one component
     (["0x1.8p+1"], ["nan:7ff8000000000001"], ["-0x0p+0"], ...).  One
-    string per double bit pattern — also what the response cache keys
-    operands on, so distinct NaN payloads and [0.0] vs [-0.0] never
-    collapse. *)
+    string per double bit pattern, so distinct NaN payloads and [0.0]
+    vs [-0.0] never collapse. *)
 
 val float_of_wire : string -> float option
 

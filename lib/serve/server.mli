@@ -57,7 +57,8 @@ val start :
 (** Bind, listen, and spawn the io and batcher domains.  Defaults:
     [queue_capacity = 64], [max_batch = 32], [window_us = 200.],
     [cache_capacity = 0] (memoization off), [max_conns = 16384].
-    [max_batch = 1] or [window_us = 0.] serves batch-size-1. *)
+    [max_batch = 1] serves batch-size-1; [window_us = 0.] only stops
+    the batcher waiting for stragglers. *)
 
 val start_adopted :
   sched:Runtime.Sched.t ->

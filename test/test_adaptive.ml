@@ -217,6 +217,35 @@ let test_arb_ball_containment () =
        (Check.Oracle.dot_abs ~x:xs ~y:ys ~got:b.Check.Impls.b_mid)
        b.Check.Impls.b_rad)
 
+(* --- an underflowing magnitude cannot certify -------------------------- *)
+
+(* 2^-540 (1 + 2^-52): the product of two is 2^-1080 (1 + 2^-51 +
+   2^-104), below the smallest subnormal, so in doubles the magnitude
+   product underflows to 0 while the exact product does not. *)
+let tiny = [| Float.ldexp (1.0 +. epsilon_float) (-540); 0.0 |]
+
+let test_underflow_cannot_certify () =
+  List.iter
+    (fun (label, op, inp, qs) ->
+      List.iter
+        (fun q ->
+          let o = run_exn ~q ~op inp in
+          let true_err_up = AD.Certify.ball_bound op ~prec:oracle_prec inp o.E.result in
+          if not (true_err_up <= o.E.bound) then
+            Alcotest.fail
+              (Printf.sprintf "%s q=%d: %s certified %h, true error up to %h" label q o.E.chosen
+                 o.E.bound true_err_up))
+        qs)
+    [ ("mul", AD.Sla.Mul, { AD.Sla.x = [| tiny |]; y = [| tiny |]; z = [||] }, [ 1; 10; 100; 200 ]);
+      ( "dot n=4",
+        AD.Sla.Dot,
+        { AD.Sla.x = Array.make 4 tiny; y = Array.make 4 tiny; z = [||] },
+        [ 50 ] ) ];
+  (* an exact zero is no underflow: it still settles at its start rung *)
+  let o = run_exn ~q:200 ~op:AD.Sla.Mul { AD.Sla.x = [| tiny |]; y = [| zero2 |]; z = [||] } in
+  Alcotest.(check string) "tiny x 0 settles at mf2" "mf2" o.E.chosen;
+  Alcotest.(check (float 0.0)) "tiny x 0 certifies bound 0" 0.0 o.E.bound
+
 (* --- the fuzz gate, shrunk -------------------------------------------- *)
 
 let test_fuzz_gate () =
@@ -240,5 +269,7 @@ let () =
           Alcotest.test_case "padding is exact" `Quick test_padding ] );
       ( "containment",
         [ Alcotest.test_case "ladder vs ball oracle" `Quick test_containment_smoke;
-          Alcotest.test_case "arb registry balls" `Quick test_arb_ball_containment ] );
+          Alcotest.test_case "arb registry balls" `Quick test_arb_ball_containment;
+          Alcotest.test_case "underflowing magnitude cannot certify" `Quick
+            test_underflow_cannot_certify ] );
       ("fuzz", [ Alcotest.test_case "sla gate" `Quick test_fuzz_gate ]) ]

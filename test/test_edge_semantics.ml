@@ -92,10 +92,9 @@ let test_comparisons_with_specials () =
    kernels — including on the special values above, where "the
    documented deviation" must be the SAME deviation: the same NaN
    collapse, the same NaN payload and sign, the same sign-of-zero loss,
-   the same overflow behavior, component for component.  A served
-   fixed-tier op runs the planar kernel while the loadgen canary's
-   reference runs the scalar one, and the wire carries NaN payloads
-   exactly. *)
+   the same overflow behavior, component for component.  The batched
+   BLAS kernels, the engine and refinement run the planar kernels
+   where the scalar ones are the reference. *)
 
 let special_pool =
   [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; Float.max_float;

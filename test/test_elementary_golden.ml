@@ -178,52 +178,6 @@ module C2 = Check (Multifloat.Mf2) (Multifloat.Elementary.F2)
 module C3 = Check (Multifloat.Mf3) (Multifloat.Elementary.F3)
 module C4 = Check (Multifloat.Mf4) (Multifloat.Elementary.F4)
 
-(* The planar batched path (what the serving layer's micro-batcher
-   runs for exp/log/sin groups) must be bitwise the scalar path on the
-   same worst-case inputs — not merely inside the accuracy gate.  Any
-   divergence means a served response depends on how requests were
-   batched. *)
-module Bitwise
-    (M : Multifloat.Ops.S)
-    (V : Multifloat.Batch.V with type elt = M.t) =
-struct
-  module E = Multifloat.Elementary.Make (M)
-
-  let check_fn name fn inputs =
-    let xs = Array.of_list inputs in
-    let n = Array.length xs in
-    let v = V.create n in
-    Array.iteri (fun i x -> V.set v i (M.of_float x)) xs;
-    let dst = V.create n in
-    V.map ~dst fn v;
-    Array.iteri
-      (fun i x ->
-        let scalar = M.components (fn (M.of_float x)) in
-        let batched = M.components (V.get dst i) in
-        Array.iteri
-          (fun j c ->
-            if Int64.bits_of_float c <> Int64.bits_of_float batched.(j) then
-              Alcotest.failf "%s(%h): batched component %d is %h, scalar %h" name x j
-                batched.(j) c)
-          scalar)
-      xs
-
-  let run () =
-    check_fn "exp" E.exp exp_inputs;
-    check_fn "log" E.log log_inputs;
-    check_fn "sin" E.sin sin_inputs
-end
-
-module B2 = Bitwise (Multifloat.Mf2) (Multifloat.Batch.Mf2v)
-module B3 = Bitwise (Multifloat.Mf3) (Multifloat.Batch.Mf3v)
-module B4 = Bitwise (Multifloat.Mf4) (Multifloat.Batch.Mf4v)
-
-(* Same obligation through the generic Of_scalar planar storage (the
-   path types without generated planar kernels take). *)
-module G2 = Bitwise (Multifloat.Mf2) (Multifloat.Batch.Of_scalar (Multifloat.Mf2))
-module G3 = Bitwise (Multifloat.Mf3) (Multifloat.Batch.Of_scalar (Multifloat.Mf3))
-module G4 = Bitwise (Multifloat.Mf4) (Multifloat.Batch.Of_scalar (Multifloat.Mf4))
-
 (* The reference itself is cross-checked at double precision against
    libm before it is trusted to judge anything. *)
 let test_reference_sanity () =
@@ -243,11 +197,4 @@ let () =
         [ Alcotest.test_case "reference sanity" `Quick test_reference_sanity;
           Alcotest.test_case "mf2" `Quick (fun () -> C2.run ());
           Alcotest.test_case "mf3" `Quick (fun () -> C3.run ());
-          Alcotest.test_case "mf4" `Quick (fun () -> C4.run ()) ] );
-      ( "batched-bitwise-scalar",
-        [ Alcotest.test_case "mf2" `Quick (fun () -> B2.run ());
-          Alcotest.test_case "mf3" `Quick (fun () -> B3.run ());
-          Alcotest.test_case "mf4" `Quick (fun () -> B4.run ());
-          Alcotest.test_case "of_scalar mf2" `Quick (fun () -> G2.run ());
-          Alcotest.test_case "of_scalar mf3" `Quick (fun () -> G3.run ());
-          Alcotest.test_case "of_scalar mf4" `Quick (fun () -> G4.run ()) ] ) ]
+          Alcotest.test_case "mf4" `Quick (fun () -> C4.run ()) ] ) ]

@@ -756,7 +756,7 @@ let lg_request ?(slas = []) ~ops ~tiers id =
     | SP.Sum -> ([], vec 8 0, [||], [||])
     | SP.Poly_eval -> ([], vec 8 0, [| element 9 |], [||])
     | SP.Program ->
-        (* round-robin over the fused chains *)
+        (* round-robin over the program chains *)
         (match List.nth SP.programs (id mod List.length SP.programs) with
         | [ "sum" ] as p -> (p, vec 8 0, [||], [||])
         | [ "mul"; "sum" ] as p -> (p, vec 8 0, vec 8 8, [||])
@@ -1784,7 +1784,7 @@ let ad_op_of_name name =
   match AD.Sla.of_wire ~op:(String.trim name) ~prog:[] with
   | Some op -> op
   | None -> (
-      (* allow the fused chains by their program spelling *)
+      (* allow the program chains by their spelling *)
       match AD.Sla.of_wire ~op:"program" ~prog:(String.split_on_char ';' (String.trim name)) with
       | Some op -> op
       | None ->
@@ -1809,10 +1809,10 @@ let ad_workload ~cases ~n ~ops ~slas ~seed =
         match op with
         | AD.Sla.Add | AD.Sla.Mul | AD.Sla.Div -> ([| element () |], [| element () |], [||])
         | AD.Sla.Sqrt -> ([| element ~pos:true () |], [||], [||])
-        | AD.Sla.Sum | AD.Sla.Chain [ "sum" ] -> (vec n, [||], [||])
-        | AD.Sla.Dot | AD.Sla.Chain [ "mul"; "sum" ] -> (vec n, vec n, [||])
+        | AD.Sla.Sum -> (vec n, [||], [||])
+        | AD.Sla.Dot -> (vec n, vec n, [||])
         | AD.Sla.Axpy -> (vec n, vec (n + 1), [||])
-        | AD.Sla.Chain _ -> (vec n, vec (n + 1), vec n)
+        | AD.Sla.Axpy_dot -> (vec n, vec (n + 1), vec n)
       in
       (op, q, { AD.Sla.x; y; z }))
 
@@ -1946,20 +1946,23 @@ let adaptive_run cases n ops_csv slas_csv reps fuzz_cases seed out =
               ( "bitwise_mismatches",
                 J.Num (Float.of_int fz.Check.Sla_fuzz.bitwise_mismatches) ) ] ) ]
   in
-  (* merge into the loadgen artifact, keeping every other field *)
-  let doc =
-    match J.parse_file out with
-    | Ok (J.Obj fields) ->
-        J.Obj (List.filter (fun (k, _) -> k <> "adaptive") fields @ [ ("adaptive", block) ])
-    | Ok _ | Error _ ->
-        Printf.eprintf
-          "adaptive: %s missing or unreadable -- run `fpan_tool loadgen` first to create it\n"
-          out;
-        exit 2
-  in
-  Obs.Schema.check ~name:out Obs.Schemas.bench_serve doc;
-  J.write_file out doc;
-  Printf.printf "  merged adaptive block into %s\n" out
+  (* merge into the loadgen artifact, keeping every other field; with
+     no artifact there is nothing to merge into *)
+  if not (Sys.file_exists out) then
+    Printf.eprintf "adaptive: %s not found -- results not merged (run `fpan_tool loadgen` first)\n"
+      out
+  else
+    let doc =
+      match J.parse_file out with
+      | Ok (J.Obj fields) ->
+          J.Obj (List.filter (fun (k, _) -> k <> "adaptive") fields @ [ ("adaptive", block) ])
+      | Ok _ | Error _ ->
+          Printf.eprintf "adaptive: %s unreadable -- expected a `fpan_tool loadgen` artifact\n" out;
+          exit 2
+    in
+    Obs.Schema.check ~name:out Obs.Schemas.bench_serve doc;
+    J.write_file out doc;
+    Printf.printf "  merged adaptive block into %s\n" out
 
 let adaptive_cmd =
   let doc =
@@ -1975,13 +1978,13 @@ let adaptive_cmd =
   in
   let n_arg =
     Arg.(value & opt int 32
-         & info [ "n" ] ~docv:"LEN" ~doc:"Vector length for the reduction ops (sum, dot, axpy, chains).")
+         & info [ "n" ] ~docv:"LEN" ~doc:"Vector length for the reduction ops (sum, dot, axpy, axpy;dot).")
   in
   let ops_arg =
     Arg.(value & opt string "add,mul,dot,sum"
          & info [ "ops" ] ~docv:"OPS"
-             ~doc:"Comma-separated certifiable op mix (fused chains by their program \
-                   spelling, e.g. mul;sum).")
+             ~doc:"Comma-separated certifiable op mix (program chains by their \
+                   spelling, e.g. axpy;dot).")
   in
   let slas_arg =
     Arg.(value & opt string "20,60,100,140,180"
@@ -2008,286 +2011,8 @@ let adaptive_cmd =
           $ fuzz_arg $ seed_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* fuse: the cross-op fusion ablation.  --dump prints the fused wire
-   programs derived by the IR front end (lib/fpan_ir) -- the same
-   programs the planar kernels in lib/multifloat/batch.ml are
-   generated from.  Bench mode times each fused kernel against its
-   op-by-op composition over the same planes, demands bitwise
-   equality (fusion never reorders or drops a gate, so anything else
-   is a bug), and writes the fpan-bench-fuse/1 artifact. *)
-
-module Fuse_bench
-    (M : Multifloat.Ops.S)
-    (Vb : Multifloat.Batch.V with type elt = M.t) =
-struct
-  module E = Runtime.Engine.Make (M) (Vb)
-  module RB = Linalg.Refine_batched (M) (Vb)
-
-  let scalar_eq a b =
-    Array.for_all2
-      (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
-      (M.components a) (M.components b)
-
-  let vec_eq a b =
-    Vb.length a = Vb.length b && Array.for_all2 scalar_eq (Vb.to_array a) (Vb.to_array b)
-
-  (* one warmup call, then best-of wall time (result is from the last
-     rep; every rep is deterministic, so any rep's result will do) *)
-  let best_of reps f =
-    ignore (f ());
-    let best = ref infinity and result = ref None in
-    for _ = 1 to Stdlib.max 1 reps do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (!best, Option.get !result)
-
-  let run ~n ~nref ~reps ~workers ~out =
-    let module J = Obs.Json_out in
-    let rng = Random.State.make [| 0xf05e; n; Vb.terms |] in
-    let rand_vec len =
-      Vb.of_floats (Array.init len (fun _ -> Random.State.float rng 2.0 -. 1.0))
-    in
-    Printf.printf "fuse: %d-bit ablation, vectors n = %d, matrices n = %d, best of %d\n"
-      M.precision_bits n nref reps;
-    let mismatches = ref 0 in
-    let cell ~kernel ~unfused ~len ~fused_s ~unfused_s ~bitwise =
-      if not bitwise then incr mismatches;
-      Printf.printf "  %-13s fused %.6f s   %-9s %.6f s   %.2fx  bitwise %s\n" kernel fused_s
-        unfused unfused_s (unfused_s /. fused_s)
-        (if bitwise then "ok" else "MISMATCH");
-      J.Obj
-        [ ("kernel", J.Str kernel);
-          ("unfused", J.Str unfused);
-          ("bits", J.Num (Float.of_int M.precision_bits));
-          ("n", J.Num (Float.of_int len));
-          ("reps", J.Num (Float.of_int reps));
-          ("fused_wall_s", J.Num fused_s);
-          ("unfused_wall_s", J.Num unfused_s);
-          ("speedup", J.Num (unfused_s /. fused_s));
-          ("bitwise_equal", J.Bool bitwise) ]
-    in
-    (* DOT (fig. 9): the fused mul;sum wire program in one pass vs the
-       unfused spelling -- elementwise mul into a temporary plane set,
-       then the sum fold re-reading it. *)
-    let dot_cell =
-      let x = rand_vec n and y = rand_vec n in
-      let tmp = Vb.create n in
-      let t_f, r_f =
-        best_of reps (fun () -> Vb.dot ~init:M.zero ~x ~xoff:0 ~y ~yoff:0 ~len:n)
-      in
-      let t_u, r_u =
-        best_of reps (fun () ->
-            Vb.mul ~dst:tmp x y;
-            Vb.sum ~init:M.zero ~x:tmp ~xoff:0 ~len:n)
-      in
-      cell ~kernel:"dot" ~unfused:"mul+sum" ~len:n ~fused_s:t_f ~unfused_s:t_u
-        ~bitwise:(scalar_eq r_f r_u)
-    in
-    (* AXPY;DOT: the fused single-pass update-and-fold vs AXPY followed
-       by DOT re-reading the updated plane set.  Also checks the
-       engine's tree-reduced fused path against its own two-pass
-       composition at [workers]. *)
-    let axpy_dot_cell =
-      let alpha = Vb.get (rand_vec 1) 0 in
-      let x = rand_vec n and y0 = rand_vec n and w = rand_vec n in
-      let t_f, (acc_f, y_f) =
-        best_of reps (fun () ->
-            let y = Vb.copy y0 in
-            let acc = Vb.axpy_dot ~lo:0 ~hi:n ~alpha ~x ~y ~w ~init:M.zero in
-            (acc, y))
-      in
-      let t_u, (acc_u, y_u) =
-        best_of reps (fun () ->
-            let y = Vb.copy y0 in
-            Vb.axpy ~lo:0 ~hi:n ~alpha ~x ~y;
-            (Vb.dot ~init:M.zero ~x:y ~xoff:0 ~y:w ~yoff:0 ~len:n, y))
-      in
-      let rt_ok =
-        Runtime.Sched.with_sched ~workers (fun rt ->
-            let yf = Vb.copy y0 and yu = Vb.copy y0 in
-            let af = E.axpy_dot rt ~alpha ~x ~y:yf ~w () in
-            E.axpy rt ~alpha ~x ~y:yu ();
-            let au = E.dot rt yu w in
-            scalar_eq af au && vec_eq yf yu)
-      in
-      cell ~kernel:"axpy_dot" ~unfused:"axpy+dot" ~len:n ~fused_s:t_f ~unfused_s:t_u
-        ~bitwise:(scalar_eq acc_f acc_u && vec_eq y_f y_u && rt_ok)
-    in
-    (* GEMV residual: per-row fused dot;sub vs GEMV into a temporary
-       vector followed by the elementwise subtract.  Also checks the
-       row-parallel engine path at [workers]. *)
-    let gemv_cell =
-      let m = nref in
-      let a = rand_vec (m * m) and xv = rand_vec m and bv = rand_vec m in
-      let r_f = Vb.create m and r_u = Vb.create m and tmp = Vb.create m in
-      let t_f, () =
-        best_of reps (fun () ->
-            for i = 0 to m - 1 do
-              Vb.set r_f i
-                (Vb.dot_sub ~b:(Vb.get bv i) ~x:a ~xoff:(i * m) ~y:xv ~yoff:0 ~len:m)
-            done)
-      in
-      let t_u, () =
-        best_of reps (fun () ->
-            for i = 0 to m - 1 do
-              Vb.set tmp i (Vb.dot ~init:M.zero ~x:a ~xoff:(i * m) ~y:xv ~yoff:0 ~len:m)
-            done;
-            Vb.sub ~dst:r_u bv tmp)
-      in
-      let rt_ok =
-        Runtime.Sched.with_sched ~workers (fun rt ->
-            let r_rt = Vb.create m in
-            E.gemv_residual rt ~m ~n:m ~a ~x:xv ~b:bv ~r:r_rt ();
-            vec_eq r_rt r_f)
-      in
-      cell ~kernel:"gemv_residual" ~unfused:"gemv+sub" ~len:m ~fused_s:t_f ~unfused_s:t_u
-        ~bitwise:(vec_eq r_f r_u && rt_ok)
-    in
-    (* Refinement: solve a diagonally dominant system once (sequential
-       and at [workers] -- solutions and stats must agree bitwise),
-       then time the per-iteration extended-precision work, the
-       residual pass, fused vs unfused at the converged solution. *)
-    let refine =
-      let nr = nref in
-      let rng2 = Random.State.make [| 0xbeef; nr; Vb.terms |] in
-      let a = Array.init (nr * nr) (fun _ -> Random.State.float rng2 2.0 -. 1.0) in
-      for i = 0 to nr - 1 do
-        a.((i * nr) + i) <- a.((i * nr) + i) +. Float.of_int nr
-      done;
-      let b = Array.init nr (fun _ -> M.of_float (Random.State.float rng2 2.0 -. 1.0)) in
-      let x_seq, stats = RB.solve ~n:nr ~a ~b () in
-      let x_rt, stats_rt =
-        Runtime.Sched.with_sched ~workers (fun rt -> RB.solve ~rt ~n:nr ~a ~b ())
-      in
-      let det_ok =
-        stats_rt.RB.iterations = stats.RB.iterations && Array.for_all2 scalar_eq x_rt x_seq
-      in
-      let am = Vb.of_floats a and xv = Vb.of_array x_seq and bv = Vb.of_array b in
-      let r_f = Vb.create nr and r_u = Vb.create nr and tmp = Vb.create nr in
-      let t_f, () =
-        best_of reps (fun () ->
-            for i = 0 to nr - 1 do
-              Vb.set r_f i
-                (Vb.dot_sub ~b:(Vb.get bv i) ~x:am ~xoff:(i * nr) ~y:xv ~yoff:0 ~len:nr)
-            done)
-      in
-      let t_u, () =
-        best_of reps (fun () ->
-            for i = 0 to nr - 1 do
-              Vb.set tmp i (Vb.dot ~init:M.zero ~x:am ~xoff:(i * nr) ~y:xv ~yoff:0 ~len:nr)
-            done;
-            Vb.sub ~dst:r_u bv tmp)
-      in
-      let bitwise = vec_eq r_f r_u && det_ok in
-      if not bitwise then incr mismatches;
-      Printf.printf
-        "  refine        fused iter %.6f s   unfused iter %.6f s   %.2fx  (%d iterations)  bitwise %s\n"
-        t_f t_u (t_u /. t_f) stats.RB.iterations
-        (if bitwise then "ok" else "MISMATCH");
-      J.Obj
-        [ ("bits", J.Num (Float.of_int M.precision_bits));
-          ("n", J.Num (Float.of_int nr));
-          ("iterations", J.Num (Float.of_int stats.RB.iterations));
-          ("fused_iter_s", J.Num t_f);
-          ("unfused_iter_s", J.Num t_u);
-          ("speedup", J.Num (t_u /. t_f));
-          ("bitwise_equal", J.Bool bitwise) ]
-    in
-    let json =
-      J.Obj
-        [ ("schema", J.Str "fpan-bench-fuse/1");
-          ("mode", J.Str "ablation-fusion");
-          ("workers", J.Num (Float.of_int workers));
-          ("cells", J.List [ dot_cell; axpy_dot_cell; gemv_cell ]);
-          ("refine", refine) ]
-    in
-    Obs.Schema.check ~name:out Obs.Schemas.bench_fuse json;
-    J.write_file out json;
-    Printf.printf "  written to %s\n" out;
-    if !mismatches > 0 then begin
-      Printf.eprintf "fuse: %d bitwise mismatch(es) -- fusion changed results\n" !mismatches;
-      exit 1
-    end
-end
-
-let fuse_run dump terms n nref reps workers out =
-  drain_on_signal ();
-  if terms < 2 || terms > 4 then begin
-    Printf.eprintf "fuse: --terms must be 2, 3, or 4 (got %d)\n" terms;
-    exit 2
-  end;
-  match dump with
-  | Some chain ->
-      let dump_one (_, f) = Format.printf "%a@.@." Fpan_ir.Ir.pp (f terms) in
-      if chain = "all" then List.iter dump_one Fpan_ir.Fuse.chains
-      else (
-        match List.assoc_opt chain Fpan_ir.Fuse.chains with
-        | Some f -> dump_one (chain, f)
-        | None ->
-            Printf.eprintf "fuse: unknown chain %S (have: %s)\n" chain
-              (String.concat ", " (List.map fst Fpan_ir.Fuse.chains));
-            exit 2)
-  | None -> (
-      match terms with
-      | 2 ->
-          let module F = Fuse_bench (Multifloat.Mf2) (Multifloat.Batch.Mf2v) in
-          F.run ~n ~nref ~reps ~workers ~out
-      | 3 ->
-          let module F = Fuse_bench (Multifloat.Mf3) (Multifloat.Batch.Mf3v) in
-          F.run ~n ~nref ~reps ~workers ~out
-      | _ ->
-          let module F = Fuse_bench (Multifloat.Mf4) (Multifloat.Batch.Mf4v) in
-          F.run ~n ~nref ~reps ~workers ~out)
-
-let fuse_cmd =
-  let doc =
-    "Cross-op fusion ablation over the FPAN wire-program IR: --dump prints the fused wire \
-     programs the planar kernels are generated from; otherwise times the fused kernels (dot, \
-     axpy_dot, gemv_residual, the Refine_batched residual pass) against their op-by-op \
-     compositions, demands bitwise equality, and writes BENCH_fuse.json."
-  in
-  let dump_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some "all") (some string) None
-      & info [ "dump" ] ~docv:"CHAIN"
-          ~doc:"Print the named fused wire program (default: all of them) and exit.")
-  in
-  let terms_arg =
-    Arg.(value & opt int 2 & info [ "terms" ] ~docv:"T" ~doc:"MultiFloat terms (2, 3, or 4).")
-  in
-  let n_arg =
-    Arg.(value & opt int 65536 & info [ "n" ] ~docv:"N" ~doc:"Vector length for the 1-D kernels.")
-  in
-  let nref_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "nref" ] ~docv:"N" ~doc:"Matrix dimension for gemv_residual and refinement.")
-  in
-  let reps_arg =
-    Arg.(value & opt int 5 & info [ "reps" ] ~docv:"R" ~doc:"Timed repetitions (best-of).")
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"W" ~doc:"Workers for the runtime determinism checks.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_fuse.json"
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"JSON output path.")
-  in
-  Cmd.v (Cmd.info "fuse" ~doc)
-    Term.(
-      const fuse_run $ dump_arg $ terms_arg $ n_arg $ nref_arg $ reps_arg $ workers_arg $ out_arg)
-
-(* ------------------------------------------------------------------ *)
 (* verify: exhaustive small-width verification certificates.  Bit-blast
-   the networks and fused chains to constraint circuits, enumerate the
+   the networks and kernel chains to constraint circuits, enumerate the
    whole reduced-width operand space on the runtime, and write the
    fpan-verify/1 certificate.  Exit 1 on any violation, 2 if the
    verifier's own mutant self-test fails. *)
@@ -2421,7 +2146,7 @@ let verify_run networks chains gate_width sweep_width workers max_cex no_self_te
 
 let verify_cmd =
   let doc =
-    "Exhaustively verify networks and fused chains at reduced width: bit-blast each to a \
+    "Exhaustively verify networks and kernel chains at reduced width: bit-blast each to a \
      constraint circuit, enumerate every operand tuple of the small-width space on the \
      work-stealing runtime, check EFT exactness, output nonoverlap, the scaled error bound, and \
      bitwise circuit-vs-interpreter equivalence, and write a machine-readable fpan-verify/1 \
@@ -2435,10 +2160,12 @@ let verify_cmd =
                    mutant sloppy-add2).  Empty to skip.")
   in
   let chains_arg =
-    Arg.(value & opt string "sum_step:2,dot_step:2,residual_tail:2"
+    Arg.(value & opt string "sum_step:2,dot_step:2"
          & info [ "chains" ] ~docv:"NAMES"
-             ~doc:"Comma-separated fused chains as name:terms (see fpan_tool fuse --dump).  \
-                   Empty to skip.")
+             ~doc:
+               ("Comma-separated kernel chains as name:terms, from: "
+               ^ String.concat ", " (List.map fst Fpan_ir.Fuse.chains)
+               ^ ".  Empty to skip."))
   in
   let width_arg =
     Arg.(value & opt int 8
@@ -2483,7 +2210,7 @@ let () =
   let group =
     Cmd.group ~default info
       [ list_cmd; show_cmd; check_cmd; check_all_cmd; check_n_cmd; dot_cmd; search_cmd;
-        analyze_cmd; enumerate_cmd; fuzz_cmd; verify_cmd; bench_sched_cmd; fuse_cmd; trace_cmd; serve_cmd;
+        analyze_cmd; enumerate_cmd; fuzz_cmd; verify_cmd; bench_sched_cmd; trace_cmd; serve_cmd;
         loadgen_cmd; adaptive_cmd; chaos_cmd ]
   in
   match Cmd.eval_value group with

@@ -83,8 +83,8 @@ let scale op (inp : Sla.inputs) =
       else if num > 0.0 then no_underflow (num /. lo)
       else 0.0
   | Sla.Sqrt -> Float.sqrt (sum_abs inp.x.(0))
-  | Sla.Sum | Sla.Chain [ "sum" ] -> sum_rows sum_abs inp.x
-  | Sla.Dot | Sla.Chain [ "mul"; "sum" ] ->
+  | Sla.Sum -> sum_rows sum_abs inp.x
+  | Sla.Dot ->
       let s = ref 0.0 in
       for i = 0 to Array.length inp.x - 1 do
         s := !s +. mag_mul (sum_abs inp.x.(i)) (sum_abs inp.y.(i))
@@ -98,7 +98,7 @@ let scale op (inp : Sla.inputs) =
         if s > !m then m := s
       done;
       !m
-  | Sla.Chain [ "axpy"; "dot" ] ->
+  | Sla.Axpy_dot ->
       (* the result carries both the dot accumulator and the updated
          vector rows, so the scale must cover both *)
       let a = sum_abs inp.y.(0) in
@@ -109,9 +109,6 @@ let scale op (inp : Sla.inputs) =
         acc := !acc +. mag_mul s (sum_abs inp.z.(i))
       done;
       Float.max !acc !m
-  | Sla.Chain c ->
-      invalid_arg
-        (Printf.sprintf "Adaptive.Certify.scale: unsupported chain %S" (String.concat ";" c))
 
 let threshold ~q ~scale = Float.ldexp scale (-q)
 
@@ -121,9 +118,9 @@ let static_c op ~n =
   match op with
   | Sla.Add | Sla.Mul -> 2.0
   | Sla.Div | Sla.Sqrt -> 16.0
-  | Sla.Sum | Sla.Dot | Sla.Chain [ "sum" ] | Sla.Chain [ "mul"; "sum" ] -> 8.0 *. n
+  | Sla.Sum | Sla.Dot -> 8.0 *. n
   | Sla.Axpy -> 8.0
-  | Sla.Chain _ -> 32.0 *. n
+  | Sla.Axpy_dot -> 32.0 *. n
 
 (* The tier's relative error bound assumes no gate underflows.  An
    addition cannot lose bits to underflow (a subnormal sum is exact),
@@ -134,7 +131,7 @@ let static_c op ~n =
 let static_bound op ~n ~terms ~scale =
   let b = static_c op ~n:(float_of_int n) *. Float.ldexp scale (-q_of_terms terms) in
   match op with
-  | Sla.Add | Sla.Sum | Sla.Chain [ "sum" ] -> b
+  | Sla.Add | Sla.Sum -> b
   | _ -> if scale > 0.0 && b < Float.min_float then Float.infinity else b
 
 (* --- ball certificate ------------------------------------------------ *)
@@ -163,22 +160,15 @@ let enclosures op ~prec (inp : Sla.inputs) =
   | Sla.Mul -> [| Arb.mul (bx 0) (by 0) |]
   | Sla.Div -> [| Arb.div (bx 0) (by 0) |]
   | Sla.Sqrt -> [| Arb.sqrt (bx 0) |]
-  | Sla.Sum | Sla.Chain [ "sum" ] -> [| Arb.Vec.sum ~prec (Array.init n bx) |]
-  | Sla.Dot | Sla.Chain [ "mul"; "sum" ] ->
-      [| Arb.Vec.dot ~prec (Array.init n bx) (Array.init n by) |]
+  | Sla.Sum -> [| Arb.Vec.sum ~prec (Array.init n bx) |]
+  | Sla.Dot -> [| Arb.Vec.dot ~prec (Array.init n bx) (Array.init n by) |]
   | Sla.Axpy ->
       Arb.Vec.axpy ~alpha:(by 0) ~x:(Array.init n bx) ~y:(Array.init n (fun i -> by (i + 1)))
-  | Sla.Chain [ "axpy"; "dot" ] ->
-      let acc, ynew =
-        Arb.Vec.axpy_dot ~prec ~alpha:(by 0) ~x:(Array.init n bx)
-          ~y:(Array.init n (fun i -> by (i + 1)))
-          ~z:(Array.init n bz)
+  | Sla.Axpy_dot ->
+      let ynew =
+        Arb.Vec.axpy ~alpha:(by 0) ~x:(Array.init n bx) ~y:(Array.init n (fun i -> by (i + 1)))
       in
-      Array.append [| acc |] ynew
-  | Sla.Chain c ->
-      invalid_arg
-        (Printf.sprintf "Adaptive.Certify.enclosures: unsupported chain %S"
-           (String.concat ";" c))
+      Array.append [| Arb.Vec.dot ~prec ynew (Array.init n bz) |] ynew
 
 (* multi-row results report the worst row; err_row_up never yields
    nan (it maps it to infinity) *)

@@ -9,7 +9,8 @@
      cheapest admissible tier.
    - [settle] takes the result evaluated at the planned rung and returns
      the static bound if it met, else mf4's ball certificate if that
-     meets, else the bigfloat fallback.  Below mf4 a ball is never worth
+     meets, else the bigfloat fallback.  A result with a non-finite
+     component takes the fallback at once.  Below mf4 a ball is never worth
      its bignum cost: its measured distance is dominated by the rung's
      own rounding error (~2^-q_tier * scale), so whenever the static
      certificate misses by more than its small constant factor the ball
@@ -52,13 +53,13 @@ let bigfloat_eval op (inp : Sla.inputs) : float array array =
   | Sla.Mul -> out (B.mul (x 0) (y 0))
   | Sla.Div -> out (B.div (x 0) (y 0))
   | Sla.Sqrt -> out (B.sqrt (x 0))
-  | Sla.Sum | Sla.Chain [ "sum" ] ->
+  | Sla.Sum ->
       let acc = ref (B.make_zero ~prec:big_prec) in
       for i = 0 to Array.length inp.x - 1 do
         acc := B.add !acc (x i)
       done;
       out !acc
-  | Sla.Dot | Sla.Chain [ "mul"; "sum" ] ->
+  | Sla.Dot ->
       let acc = ref (B.make_zero ~prec:big_prec) in
       for i = 0 to Array.length inp.x - 1 do
         acc := B.add !acc (B.mul (x i) (y i))
@@ -68,7 +69,7 @@ let bigfloat_eval op (inp : Sla.inputs) : float array array =
       let alpha = y 0 in
       Array.init (Array.length inp.x) (fun i ->
           B.to_expansion ~n:Sla.max_terms (B.add (B.mul alpha (x i)) (y (i + 1))))
-  | Sla.Chain [ "axpy"; "dot" ] ->
+  | Sla.Axpy_dot ->
       let n = Array.length inp.x in
       let alpha = y 0 in
       let z i = bf inp.z.(i) in
@@ -80,9 +81,6 @@ let bigfloat_eval op (inp : Sla.inputs) : float array array =
       Array.append
         [| B.to_expansion ~n:Sla.max_terms !acc |]
         (Array.map (B.to_expansion ~n:Sla.max_terms) ynew)
-  | Sla.Chain c ->
-      invalid_arg
-        (Printf.sprintf "Adaptive.Escalate: unsupported chain %S" (String.concat ";" c))
 
 let bigfloat_outcome op (inp : Sla.inputs) ~escalations =
   let result = bigfloat_eval op inp in
@@ -113,6 +111,12 @@ let plan ~q ~op (inputs : Sla.inputs) =
       in
       pick start
 
+(* A non-finite component certifies nothing, whatever the bound says:
+   the tier kernels return NaN for some inputs whose exact result is
+   finite (a subnormal divisor or radicand), and the static bound,
+   computed from the operands alone, cannot see that. *)
+let finite_rows rows = Array.for_all (Array.for_all Float.is_finite) rows
+
 let settle p result =
   let bound =
     if p.static_bound <= p.threshold then p.static_bound
@@ -123,7 +127,7 @@ let settle p result =
         (Certify.ball_bound p.op ~prec:(Certify.prec_of_terms p.terms + Certify.ball_guard)
            p.inputs result)
   in
-  if bound <= p.threshold then
+  if finite_rows result && bound <= p.threshold then
     { result; bound; chosen = Sla.tier_name_of_terms p.terms; escalations = p.terms - p.start }
   else bigfloat_outcome p.op p.inputs ~escalations:(p.terms - p.start + 1)
 

@@ -48,7 +48,8 @@ val settle : plan -> float array array -> outcome
 (** Certify [result], the evaluation at [plan.terms] of the operands
     zero-padded to that width: the static bound when it meets the
     threshold, else mf4's ball certificate when that meets, else the
-    bigfloat fallback. *)
+    bigfloat fallback.  A [result] with any non-finite component never
+    certifies at a MultiFloat rung: it takes the bigfloat fallback. *)
 
 val run : q:int -> op:Sla.op -> Sla.inputs -> (outcome, string) result
 (** Run the ladder for an SLA of [2^-q]: {!plan}, {!Eval.eval} at the

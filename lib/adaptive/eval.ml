@@ -12,13 +12,13 @@ module Make (M : Multifloat.Ops.S) = struct
     | Sla.Mul -> one (M.mul (x 0) (y 0))
     | Sla.Div -> one (M.div (x 0) (y 0))
     | Sla.Sqrt -> one (M.sqrt (x 0))
-    | Sla.Sum | Sla.Chain [ "sum" ] ->
+    | Sla.Sum ->
         let acc = ref M.zero in
         for i = 0 to Array.length inp.x - 1 do
           acc := M.add !acc (x i)
         done;
         one !acc
-    | Sla.Dot | Sla.Chain [ "mul"; "sum" ] ->
+    | Sla.Dot ->
         let acc = ref M.zero in
         for i = 0 to Array.length inp.x - 1 do
           acc := M.add !acc (M.mul (x i) (y i))
@@ -28,7 +28,7 @@ module Make (M : Multifloat.Ops.S) = struct
         let alpha = y 0 in
         Array.init (Array.length inp.x) (fun i ->
             M.components (M.add (M.mul alpha (x i)) (y (i + 1))))
-    | Sla.Chain [ "axpy"; "dot" ] ->
+    | Sla.Axpy_dot ->
         let n = Array.length inp.x in
         let alpha = y 0 in
         let z i = M.of_components inp.z.(i) in
@@ -38,9 +38,6 @@ module Make (M : Multifloat.Ops.S) = struct
           acc := M.add !acc (M.mul ynew.(i) (z i))
         done;
         Array.append [| M.components !acc |] (Array.map M.components ynew)
-    | Sla.Chain c ->
-        invalid_arg
-          (Printf.sprintf "Adaptive.Eval: unsupported chain %S" (String.concat ";" c))
 end
 
 module E2 = Make (Multifloat.Mf2)

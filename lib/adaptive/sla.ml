@@ -17,7 +17,7 @@ type op =
   | Sum
   | Dot
   | Axpy
-  | Chain of string list
+  | Axpy_dot
 
 type inputs = {
   x : float array array;
@@ -28,8 +28,6 @@ type inputs = {
 let q_min = 1
 let q_max = 200
 
-let chains = [ [ "sum" ]; [ "mul"; "sum" ]; [ "axpy"; "dot" ] ]
-
 let op_name = function
   | Add -> "add"
   | Mul -> "mul"
@@ -38,7 +36,7 @@ let op_name = function
   | Sum -> "sum"
   | Dot -> "dot"
   | Axpy -> "axpy"
-  | Chain c -> "program:" ^ String.concat ";" c
+  | Axpy_dot -> "program:axpy;dot"
 
 let of_wire ~op ~prog =
   match (op, prog) with
@@ -49,7 +47,9 @@ let of_wire ~op ~prog =
   | "sum", [] -> Some Sum
   | "dot", [] -> Some Dot
   | "axpy", [] -> Some Axpy
-  | "program", c when List.mem c chains -> Some (Chain c)
+  | "program", [ "sum" ] -> Some Sum
+  | "program", [ "mul"; "sum" ] -> Some Dot
+  | "program", [ "axpy"; "dot" ] -> Some Axpy_dot
   | _ -> None
 
 let supported_wire_ops = [ "add"; "mul"; "div"; "sqrt"; "sum"; "dot"; "axpy"; "program" ]

@@ -16,9 +16,10 @@ type op =
   | Sum
   | Dot
   | Axpy
-  | Chain of string list
-      (** One of the fused wire-program chains: [["sum"]],
-          [["mul"; "sum"]], or [["axpy"; "dot"]]. *)
+  | Axpy_dot
+      (** The [["axpy"; "dot"]] program: [axpy], then the dot of the
+          updated vector against z.  The other two programs are
+          spellings of [Sum] and [Dot]. *)
 
 type inputs = {
   x : float array array;
@@ -32,12 +33,12 @@ val q_max : int
     (whose 4-term output carries ~2^-210 relative error) able to meet
     every admissible budget. *)
 
-val chains : string list list
 val op_name : op -> string
 
 val of_wire : op:string -> prog:string list -> op option
 (** Map a wire op name (+ program chain) to an SLA op; [None] for the
-    uncertifiable ops. *)
+    uncertifiable ops.  The ["program"] chains [["sum"]] and
+    [["mul"; "sum"]] map to [Sum] and [Dot]. *)
 
 val supported_wire_ops : string list
 

@@ -81,11 +81,11 @@ let of_expansion ~prec comps =
     { mid = m; rad = zero_rad ~prec }
   else { mid = m; rad = mid_err m }
 
-(* Vectorized ball evaluation: the enclosure twins of the fused planar
-   wire-program chains the serve layer runs (sum, mul;sum = dot,
-   axpy;dot).  Each is a plain fold over ball ops — the fold order is
-   irrelevant to the enclosure invariant, so these certify the planar
-   kernels' results no matter how the FPAN staged the gates. *)
+(* Vectorized ball evaluation: the enclosure twins of the certifiable
+   vector ops (sum, dot, axpy).  Each is a plain fold over ball ops —
+   the fold order is irrelevant to the enclosure invariant, so these
+   certify the kernels' results no matter how the FPAN staged the
+   gates. *)
 module Vec = struct
   let ball_zero ~prec = { mid = Bigfloat.make_zero ~prec; rad = zero_rad ~prec }
 
@@ -101,10 +101,6 @@ module Vec = struct
 
   let axpy ~alpha ~(x : t array) ~(y : t array) =
     Array.init (Array.length x) (fun i -> add (mul alpha x.(i)) y.(i))
-
-  let axpy_dot ~prec ~alpha ~(x : t array) ~(y : t array) ~(z : t array) =
-    let ynew = axpy ~alpha ~x ~y in
-    (dot ~prec ynew z, ynew)
 end
 
 let contains b x =

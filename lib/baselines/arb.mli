@@ -40,18 +40,14 @@ val div : t -> t -> t
 val sqrt : t -> t
 val neg : t -> t
 
-(** Vectorized ball evaluation — the enclosure twins of the planar
-    wire-program chains the serve layer batches ([sum], [mul;sum] =
-    dot, [axpy;dot]).  Fold order does not matter for enclosure, so
-    these certify the planar kernels' results regardless of how the
-    FPAN staged the gates. *)
+(** Vectorized ball evaluation — the enclosure twins of the
+    certifiable vector ops ([sum], [dot], [axpy]).  Fold order does
+    not matter for enclosure, so these certify the kernels' results
+    regardless of how the FPAN staged the gates. *)
 module Vec : sig
   val sum : prec:int -> t array -> t
   val dot : prec:int -> t array -> t array -> t
   val axpy : alpha:t -> x:t array -> y:t array -> t array
-  val axpy_dot :
-    prec:int -> alpha:t -> x:t array -> y:t array -> z:t array -> t * t array
-  (** Returns [(dot (alpha*x + y) z, alpha*x + y)]. *)
 end
 
 val contains_float : t -> float -> bool

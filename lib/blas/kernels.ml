@@ -75,20 +75,9 @@ module Make_batched (N : Numeric.BATCHED) = struct
       done
     done
 
-  (* Fused cross-op kernels: single-pass compositions emitted from the
-     wire-program IR (lib/fpan_ir Fuse).  Bitwise equal to the unfused
-     two-pass forms by construction. *)
-
-  let axpy_dot ~alpha ~x ~y ~w =
-    let n = V.length x in
-    assert (V.length y = n && V.length w = n);
-    V.axpy_dot ~lo:0 ~hi:n ~alpha ~x ~y ~w ~init:N.zero
-
   let gemv_residual ~m ~n ~a ~x ~b ~r =
-    assert (V.length a = m * n && V.length x = n && V.length b = m && V.length r = m);
-    for i = 0 to m - 1 do
-      V.set r i (V.dot_sub ~b:(V.get b i) ~x:a ~xoff:(i * n) ~y:x ~yoff:0 ~len:n)
-    done
+    gemv ~m ~n ~a ~x ~y:r;
+    V.sub ~dst:r b r
 
   (* Runtime variants: the work-stealing scheduler + tiled engine
      (lib/runtime).  GEMV/GEMM/AXPY are bitwise equal to the
@@ -137,16 +126,6 @@ module Make_batched (N : Numeric.BATCHED) = struct
     assert (V.length a = m * k && V.length b = k * n && V.length c = m * n);
     traced "kernels.gemm_rt" (m * n * k) (fun () ->
         Rt.gemm rt ~cfg:(cfg_of ?tile ()) ~m ~n ~k ~a ~b ~c ())
-
-  let axpy_dot_rt rt ~alpha ~x ~y ~w =
-    let n = V.length x in
-    assert (V.length y = n && V.length w = n);
-    traced "kernels.axpy_dot_rt" (2 * n) (fun () -> Rt.axpy_dot rt ~alpha ~x ~y ~w ())
-
-  let gemv_residual_rt rt ~m ~n ~a ~x ~b ~r =
-    assert (V.length a = m * n && V.length x = n && V.length b = m && V.length r = m);
-    traced "kernels.gemv_residual_rt" (m * (n + 1)) (fun () ->
-        Rt.gemv_residual rt ~m ~n ~a ~x ~b ~r ())
 
   let vec_of_floats = V.of_floats
   let vec_to_floats = V.to_floats

@@ -48,35 +48,44 @@ let bits_eq_rows a b =
        a b
 
 let all_ops =
-  [ Sla.Add; Sla.Mul; Sla.Div; Sla.Sqrt; Sla.Sum; Sla.Dot; Sla.Axpy;
-    Sla.Chain [ "sum" ]; Sla.Chain [ "mul"; "sum" ]; Sla.Chain [ "axpy"; "dot" ] ]
+  [ Sla.Add; Sla.Mul; Sla.Div; Sla.Sqrt; Sla.Sum; Sla.Dot; Sla.Axpy; Sla.Axpy_dot ]
 
 (* Leading exponents are drawn in -20..20, except in one case in
    eight, which draws them in -560..-480: there a product of two
    operands ranges from normal through tiny-but-normal to past the
    smallest subnormal, and one element in eight (never a divisor) is
-   an exact zero. *)
+   an exact zero.  Independently, one divisor or radicand in eight
+   leads with an exponent in -1070..-1023, the subnormal range, where
+   the tier kernels return NaN (never zero: a divisor must not be). *)
 let gen_case rng ~width i =
   let op = List.nth all_ops (i mod List.length all_ops) in
   let tiny = Random.State.int rng 8 = 0 in
-  let e0_min, e0_max = if tiny then (-560, -480) else (-20, 20) in
-  let element ?(pos = false) ?(divisor = false) () =
+  let element ?(pos = false) ?(divisor = false) ?(subnormal = false) () =
     if tiny && (not divisor) && Random.State.int rng 8 = 0 then Array.make width 0.0
     else
-      let v = Fpan.Gen.expansion rng ~n:width ~e0_min ~e0_max () in
+      let e0_min, e0_max =
+        if subnormal then (-1070, -1023) else if tiny then (-560, -480) else (-20, 20)
+      in
+      let rec draw () =
+        let v = Fpan.Gen.expansion rng ~n:width ~e0_min ~e0_max () in
+        if v.(0) = 0.0 then draw () else v
+      in
+      let v = draw () in
       if pos && v.(0) < 0.0 then Array.map Float.neg v else v
   in
+  let subnormal () = Random.State.int rng 8 = 0 in
   let vec n = Array.init n (fun _ -> element ()) in
   let n = 2 + Random.State.int rng 5 in
   let x, y, z =
     match op with
     | Sla.Add | Sla.Mul -> ([| element () |], [| element () |], [||])
-    | Sla.Div -> ([| element () |], [| element ~divisor:true () |], [||])
-    | Sla.Sqrt -> ([| element ~pos:true () |], [||], [||])
-    | Sla.Sum | Sla.Chain [ "sum" ] -> (vec n, [||], [||])
-    | Sla.Dot | Sla.Chain [ "mul"; "sum" ] -> (vec n, vec n, [||])
+    | Sla.Div ->
+        ([| element () |], [| element ~divisor:true ~subnormal:(subnormal ()) () |], [||])
+    | Sla.Sqrt -> ([| element ~pos:true ~subnormal:(subnormal ()) () |], [||], [||])
+    | Sla.Sum -> (vec n, [||], [||])
+    | Sla.Dot -> (vec n, vec n, [||])
     | Sla.Axpy -> (vec n, vec (n + 1), [||])  (* y.(0) is alpha *)
-    | Sla.Chain _ -> (vec n, vec (n + 1), vec n)
+    | Sla.Axpy_dot -> (vec n, vec (n + 1), vec n)
   in
   (op, { Sla.x; y; z })
 

@@ -8,7 +8,7 @@
    [emit_program] is the per-program emitter: one let-binding per
    intermediate, named by a per-program counter and a letter by gate
    kind (TwoSum -> s/t/e, FastTwoSum -> s/e, TwoProd -> p/e plus k/h/l
-   for Dekker splits, Mul -> m, Add -> a, Neg -> n, Const -> c), so the
+   for Dekker splits, Mul -> m, Add -> a, Const -> c), so the
    emitted code reads gate for gate against [Ir.pp]'s listing.
    [scalar_ml] and [batch_ml] render the files: fixed templates for the
    module plumbing, emitted programs for every kernel body. *)
@@ -99,11 +99,6 @@ let emit_program ?(two_prod = Fma) buf ~indent ~prefix (p : Ir.t) ~(args : strin
           let n = fresh "m" in
           line (spf "let %s = %s *. %s in" n a b);
           names.(i) <- [| n |]
-      | Ir.Neg a ->
-          let a = v a in
-          let n = fresh "n" in
-          line (spf "let %s = -. %s in" n a);
-          names.(i) <- [| n |]
       | Ir.Const c ->
           let n = fresh "c" in
           line (spf "let %s = %h in" n c);
@@ -141,10 +136,10 @@ let scalar_hoist buf tr ~arr ~local ~expr =
   bpf buf "    let %s = %s.components %s in\n" arr tr.mf expr;
   bpf buf "    let %s in\n" (cat " and " tr.t (fun k -> spf "%s%d = %s.(%d)" local k arr k))
 
-let acc_init buf tr ~from =
-  (match from with
-  | Some arr -> bpf buf "    %s\n" (cat " " tr.t (fun k -> spf "let acc%d = ref %s.(%d) in" k arr k))
-  | None -> bpf buf "    %s\n" (cat " " tr.t (fun k -> spf "let acc%d = ref 0.0 in" k)))
+(* the fold accumulators, started from [init]'s components *)
+let acc_init buf tr =
+  bpf buf "    let ic = %s.components init in\n" tr.mf;
+  bpf buf "    %s\n" (cat " " tr.t (fun k -> spf "let acc%d = ref ic.(%d) in" k k))
 
 let stores buf tr ~plane ~idx (outs : string array) =
   for k = 0 to tr.t - 1 do
@@ -208,8 +203,12 @@ let emit_madd buf tr =
   stores buf tr ~plane:"b" ~idx:"(yoff + i)" outs;
   bpf buf "      ()\n    done\n"
 
-(* shared dot loop: acc <- acc + x*y, the dot_step chain *)
-let emit_dot_loop buf tr =
+let emit_dot buf tr =
+  bpf buf "  let dot ~init ~x ~xoff ~y ~yoff ~len =\n";
+  bpf buf "    check_range \"Batch.dot\" x ~off:xoff ~len;\n";
+  bpf buf "    check_range \"Batch.dot\" y ~off:yoff ~len;\n";
+  acc_init buf tr;
+  bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y") ]);
   bpf buf "    for i = 0 to len - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"(xoff + i)" ~neg:false;
   loads buf tr ~local:"y" ~plane:"b" ~idx:"(yoff + i)" ~neg:false;
@@ -218,23 +217,13 @@ let emit_dot_loop buf tr =
       ~args:(Array.concat [ acc_names tr; names "x" tr; names "y" tr ])
   in
   acc_stores buf tr outs;
-  bpf buf "      ()\n    done"
-
-let emit_dot buf tr =
-  bpf buf "  let dot ~init ~x ~xoff ~y ~yoff ~len =\n";
-  bpf buf "    check_range \"Batch.dot\" x ~off:xoff ~len;\n";
-  bpf buf "    check_range \"Batch.dot\" y ~off:yoff ~len;\n";
-  bpf buf "    let ic = %s.components init in\n" tr.mf;
-  acc_init buf tr ~from:(Some "ic");
-  bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y") ]);
-  emit_dot_loop buf tr;
-  bpf buf ";\n    %s\n" (of_accs tr)
+  bpf buf "      ()\n    done;\n";
+  bpf buf "    %s\n" (of_accs tr)
 
 let emit_sum buf tr =
   bpf buf "  let sum ~init ~x ~xoff ~len =\n";
   bpf buf "    check_range \"Batch.sum\" x ~off:xoff ~len;\n";
-  bpf buf "    let ic = %s.components init in\n" tr.mf;
-  acc_init buf tr ~from:(Some "ic");
+  acc_init buf tr;
   bpf buf "    %s\n" (hoist tr [ ("a", "x") ]);
   bpf buf "    for i = 0 to len - 1 do\n";
   loads buf tr ~local:"x" ~plane:"a" ~idx:"(xoff + i)" ~neg:false;
@@ -246,44 +235,12 @@ let emit_sum buf tr =
   bpf buf "      ()\n    done;\n";
   bpf buf "    %s\n" (of_accs tr)
 
-let emit_dot_sub buf tr =
-  bpf buf "  let dot_sub ~b ~x ~xoff ~y ~yoff ~len =\n";
-  bpf buf "    check_range \"Batch.dot_sub\" x ~off:xoff ~len;\n";
-  bpf buf "    check_range \"Batch.dot_sub\" y ~off:yoff ~len;\n";
-  acc_init buf tr ~from:None;
-  bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y") ]);
-  emit_dot_loop buf tr;
-  bpf buf ";\n";
-  bpf buf "    let bc = %s.components b in\n" tr.mf;
-  bpf buf "    let %s in\n" (cat " and " tr.t (fun k -> spf "bb%d = bc.(%d)" k k));
-  let outs =
-    emit_program buf ~indent:"    " ~prefix:"v" (Fuse.residual_tail tr.t)
-      ~args:(Array.append (names "bb" tr) (acc_names tr))
-  in
-  bpf buf "    %s.of_components [| %s |]\n" tr.mf (String.concat "; " (Array.to_list outs))
-
-let emit_axpy_dot buf tr =
+(* [axpy] then [dot] re-reading the updated [y]: a composition, not a
+   loop of its own *)
+let emit_axpy_dot buf =
   bpf buf "  let axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init =\n";
-  bpf buf "    check2 \"Batch.axpy_dot\" x y;\n";
-  bpf buf "    check2 \"Batch.axpy_dot\" x w;\n";
-  bpf buf "    if lo < 0 || hi > x.n || lo > hi then invalid_arg \"Batch.axpy_dot\";\n";
-  scalar_hoist buf tr ~arr:"al" ~local:"al" ~expr:"alpha";
-  bpf buf "    let ic = %s.components init in\n" tr.mf;
-  acc_init buf tr ~from:(Some "ic");
-  bpf buf "    %s\n" (hoist tr [ ("a", "x"); ("b", "y"); ("w", "w") ]);
-  bpf buf "    for i = lo to hi - 1 do\n";
-  loads buf tr ~local:"x" ~plane:"a" ~idx:"i" ~neg:false;
-  loads buf tr ~local:"y" ~plane:"b" ~idx:"i" ~neg:false;
-  loads buf tr ~local:"z" ~plane:"w" ~idx:"i" ~neg:false;
-  (* outputs: y' @ acc' *)
-  let outs =
-    emit_program buf ~indent:"      " ~prefix:"v" (Fuse.axpy_dot_step tr.t)
-      ~args:(Array.concat [ names "al" tr; names "x" tr; names "y" tr; names "z" tr; acc_names tr ])
-  in
-  stores buf tr ~plane:"b" ~idx:"i" (Array.sub outs 0 tr.t);
-  acc_stores buf tr (Array.sub outs tr.t tr.t);
-  bpf buf "      ()\n    done;\n";
-  bpf buf "    %s\n" (of_accs tr)
+  bpf buf "    axpy ~lo ~hi ~alpha ~x ~y;\n";
+  bpf buf "    dot ~init ~x:y ~xoff:lo ~y:w ~yoff:lo ~len:(hi - lo)\n"
 
 let emit_transpose buf tr =
   bpf buf "  let transpose ~m ~n ~src ~dst =\n";
@@ -335,9 +292,7 @@ let emit_tier buf tr =
   bpf buf "\n";
   emit_sum buf tr;
   bpf buf "\n";
-  emit_dot_sub buf tr;
-  bpf buf "\n";
-  emit_axpy_dot buf tr;
+  emit_axpy_dot buf;
   bpf buf "\n";
   emit_transpose buf tr
 
@@ -364,8 +319,8 @@ let header =
 
    GENERATED at build time by lib/fpan_ir/gen/gen_batch.ml:
    Fpan_ir.Front derives an IR program gate-for-gate from each
-   Fpan.Networks network, Fpan_ir.Fuse composes the fused loop bodies,
-   and Fpan_ir.Codegen stages them as the straight-line kernels below.
+   Fpan.Networks network, Fpan_ir.Fuse composes the loop bodies, and
+   Fpan_ir.Codegen stages them as the straight-line kernels below.
    To change a kernel, edit the generator. *)
 
 module F = Float.Array
@@ -406,10 +361,8 @@ let check_transpose name ~m ~n ~src_len ~dst_len same =
     kernels: [axpy] computes [y.(i) <- add (mul alpha x.(i)) y.(i)],
     [madd] computes [y.(yoff+i) <- add y.(yoff+i) (mul alpha
     x.(xoff+i))], and [dot] folds [acc <- add acc (mul x.(xoff+i)
-    y.(yoff+i))] in index order starting from [init].  The fused
-    operations ([sum], [dot_sub], [axpy_dot]) are staged compositions
-    of the same wire programs: one pass over the planes, bitwise equal
-    to the unfused op-by-op composition. *)
+    y.(yoff+i))] in index order starting from [init]; [sum] folds
+    [acc <- add acc x.(xoff+i)] the same way. *)
 module type V = sig
   type elt
   (** The scalar MultiFloat element type. *)
@@ -454,18 +407,9 @@ module type V = sig
   val sum : init:elt -> x:t -> xoff:int -> len:int -> elt
   (** Index-order fold [acc <- add acc x.(xoff+i)]. *)
 
-  val dot_sub : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
-  (** [sub b (dot ~init:zero ~x ~xoff ~y ~yoff ~len)] with the final
-      subtraction staged behind the dot accumulator: the GEMV-residual
-      row in one pass, no boxed intermediate.  Bitwise the unfused
-      composition. *)
-
   val axpy_dot : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
-  (** Fused [axpy] + [dot]: stores [y.(i) <- add (mul alpha x.(i))
-      y.(i)] and folds [acc <- add acc (mul y.(i) w.(i))] in the same
-      pass over the planes, for [lo <= i < hi]; returns the fold
-      started from [init].  Bitwise [axpy] followed by
-      [dot ~x:y ~y:w]. *)
+  (** [axpy ~lo ~hi ~alpha ~x ~y], then the [dot] of the updated [y]
+      against [w] over the same range, started from [init]. *)
 
   val transpose : m:int -> n:int -> src:t -> dst:t -> unit
   (** [dst.(j*m+i) <- src.(i*n+j)] viewing [src] as an [m*n] row-major
@@ -553,26 +497,9 @@ module Mf1v = struct
     done;
     !acc
 
-  let dot_sub ~b ~x ~xoff ~y ~yoff ~len =
-    check_range "Batch.dot_sub" x ~off:xoff ~len;
-    check_range "Batch.dot_sub" y ~off:yoff ~len;
-    let acc = ref 0.0 in
-    for i = 0 to len - 1 do
-      acc := !acc +. (F.unsafe_get x.c0 (xoff + i) *. F.unsafe_get y.c0 (yoff + i))
-    done;
-    b -. !acc
-
   let axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init =
-    check2 "Batch.axpy_dot" x y;
-    check2 "Batch.axpy_dot" x w;
-    if lo < 0 || hi > x.n || lo > hi then invalid_arg "Batch.axpy_dot";
-    let acc = ref init in
-    for i = lo to hi - 1 do
-      let t = (alpha *. F.unsafe_get x.c0 i) +. F.unsafe_get y.c0 i in
-      F.unsafe_set y.c0 i t;
-      acc := !acc +. (t *. F.unsafe_get w.c0 i)
-    done;
-    !acc
+    axpy ~lo ~hi ~alpha ~x ~y;
+    dot ~init ~x:y ~xoff:lo ~y:w ~yoff:lo ~len:(hi - lo)
 
   let transpose ~m ~n ~src ~dst =
     check_transpose "Batch.transpose" ~m ~n ~src_len:src.n ~dst_len:dst.n (src == dst);
@@ -686,20 +613,9 @@ module Of_scalar (K : SCALAR) : V with type elt = K.t = struct
     done;
     !acc
 
-  let dot_sub ~b ~x ~xoff ~y ~yoff ~len =
-    K.sub b (dot ~init:K.zero ~x ~xoff ~y ~yoff ~len)
-
   let axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init =
-    check2 "Batch.axpy_dot" x y;
-    check2 "Batch.axpy_dot" x w;
-    if lo < 0 || hi > x.n || lo > hi then invalid_arg "Batch.axpy_dot";
-    let acc = ref init in
-    for i = lo to hi - 1 do
-      let t = K.add (K.mul alpha (get x i)) (get y i) in
-      set y i t;
-      acc := K.add !acc (K.mul t (get w i))
-    done;
-    !acc
+    axpy ~lo ~hi ~alpha ~x ~y;
+    dot ~init ~x:y ~xoff:lo ~y:w ~yoff:lo ~len:(hi - lo)
 
   let transpose ~m ~n ~src ~dst =
     check_transpose "Batch.transpose" ~m ~n ~src_len:src.n ~dst_len:dst.n (src == dst);

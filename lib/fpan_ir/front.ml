@@ -110,22 +110,6 @@ let add_kernel t : Ir.t =
   let outs = inline_network b (Fpan.Networks.add t) (interleave t x y) in
   Ir.B.finish b ~name:(Printf.sprintf "add%d" t) ~outputs:outs
 
-(* a - b as the add network on (a, -b), negated by explicit Neg gates:
-   the residual_tail chain.  The elementwise [sub] kernels instead run
-   [add_kernel] over negated operand loads (Codegen); the values are the
-   same, and keeping one form there keeps scalar and planar NaN
-   payloads equal. *)
-let sub_kernel t : Ir.t =
-  let b = Ir.B.create ~num_inputs:(2 * t) in
-  let x = Array.init t (fun i -> Ir.In i) in
-  let y =
-    Array.init t (fun i ->
-        let g = Ir.B.push b (Ir.Neg (Ir.In (t + i))) in
-        Ir.Res (g, 0))
-  in
-  let outs = inline_network b (Fpan.Networks.add t) (interleave t x y) in
-  Ir.B.finish b ~name:(Printf.sprintf "sub%d" t) ~outputs:outs
-
 let mul_kernel t : Ir.t =
   let b = Ir.B.create ~num_inputs:(2 * t) in
   let x = Array.init t (fun i -> Ir.In i) and y = Array.init t (fun i -> Ir.In (t + i)) in

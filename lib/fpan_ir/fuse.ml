@@ -1,17 +1,17 @@
-(* Fusion pass: compose IR programs into one program.
+(* Composition pass: compose IR programs into one program.
 
-   Fusion here is *inlining only*: the composed program's gate list is
-   the concatenation of the pieces' gate lists with inputs substituted
-   ([Ir.inline]), never a reordering, elision, or algebraic rewrite.
-   That is the whole bitwise-safety argument -- each gate computes from
-   exactly the values the unfused pipeline would have handed it through
-   an intermediate plane, so the fused program is bitwise-equal to the
-   op-by-op composition by construction.  What fusion buys is *staging*:
-   one loop over the element planes instead of one loop (and one
-   materialized intermediate plane set) per op. *)
+   Composition here is *inlining only*: the composed program's gate
+   list is the concatenation of the pieces' gate lists with inputs
+   substituted ([Ir.inline]), never a reordering, elision, or algebraic
+   rewrite.  Each gate therefore computes from exactly the values the
+   op-by-op pipeline would have handed it, so a composed program is
+   bitwise the op-by-op composition by construction.  The loop bodies
+   below (a mul feeding an add) are what every planar kernel with an
+   alpha or an accumulator is emitted from, and what lib/verify proves
+   at reduced width. *)
 
 type src =
-  | Arg of int  (** input slot of the fused program *)
+  | Arg of int  (** input slot of the composed program *)
   | Out of int * int  (** output [j] of earlier piece [p]: [Out (p, j)] *)
 
 type piece = { prog : Ir.t; args : src array }
@@ -80,38 +80,15 @@ let sum_step t =
     [ { prog = Front.add_kernel t; args = app (args 0 t) (args t t) } ]
     ~outputs:(Array.to_list (outs 0 t))
 
-(* The fused axpy+dot loop body: y' = alpha*x + y stored back, and
-   acc' = acc + y'*w accumulated, in one pass.
-   Inputs: alpha @ x @ y @ w @ acc (5t); outputs: y' @ acc' (2t). *)
-let axpy_dot_step t =
-  compose ~name:(Printf.sprintf "axpy_dot_step[mf%d]" t) ~num_inputs:(5 * t)
-    [
-      { prog = Front.mul_kernel t; args = app (args 0 t) (args t t) };
-      { prog = Front.add_kernel t; args = app (outs 0 t) (args (2 * t) t) };
-      { prog = Front.mul_kernel t; args = app (outs 1 t) (args (3 * t) t) };
-      { prog = Front.add_kernel t; args = app (args (4 * t) t) (outs 2 t) };
-    ]
-    ~outputs:(Array.to_list (app (outs 1 t) (outs 3 t)))
-
-(* r = b - acc: the residual tail fused behind a dot accumulator
-   (Linalg.Refine_batched's per-row epilogue).  Inputs: b @ acc. *)
-let residual_tail t =
-  compose ~name:(Printf.sprintf "residual_tail[mf%d]" t) ~num_inputs:(2 * t)
-    [ { prog = Front.sub_kernel t; args = app (args 0 t) (args t t) } ]
-    ~outputs:(Array.to_list (outs 0 t))
-
-(* Named chains for [fpan_tool fuse --dump] and the tests. *)
+(* Named chains for [fpan_tool verify --chains] and the tests. *)
 let chains : (string * (int -> Ir.t)) list =
   [
     ("add", Front.add_kernel);
-    ("sub", Front.sub_kernel);
     ("mul", Front.mul_kernel);
     ("axpy", axpy);
     ("madd", madd);
     ("dot_step", dot_step);
     ("sum_step", sum_step);
-    ("axpy_dot_step", axpy_dot_step);
-    ("residual_tail", residual_tail);
   ]
 
 let chain name t =

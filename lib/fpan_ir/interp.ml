@@ -2,15 +2,9 @@
 
    [run] evaluates a program on scalar floats through [Eft], so it is
    bitwise the semantics the codegen'd kernels must reproduce.
-   [run_planes] stages a program over [floatarray] planes without
-   codegen: one loop over the element range, inputs bound per slot to a
-   plane load (optionally negated), a loop-invariant scalar, or a
-   loop-carried accumulator.  It exists for two reasons: it is the
-   interpreter half of the staging trade-off documented in DESIGN.md
-   s10, and it gives the tests/tool an executable oracle for fused
-   programs that does not go through the generated kernels. *)
-
-module F = Float.Array
+   [run_rounded] is the same program with every primitive rounded to a
+   reduced width: the oracle the verification backend is checked
+   against. *)
 
 let run (p : Ir.t) (inputs : float array) : float array =
   if Array.length inputs <> p.Ir.num_inputs then
@@ -36,7 +30,6 @@ let run (p : Ir.t) (inputs : float array) : float array =
           vals.((2 * i) + 1) <- e
       | Ir.Add (a, b) -> vals.(2 * i) <- value a +. value b
       | Ir.Mul (a, b) -> vals.(2 * i) <- value a *. value b
-      | Ir.Neg a -> vals.(2 * i) <- -.value a
       | Ir.Const c -> vals.(2 * i) <- c)
     p.Ir.gates;
   Array.map value p.Ir.outputs
@@ -82,48 +75,6 @@ let run_rounded ~round (p : Ir.t) (inputs : float array) : float array =
           vals.((2 * i) + 1) <- round (Float.fma x y (-.pr))
       | Ir.Add (a, b) -> vals.(2 * i) <- round (value a +. value b)
       | Ir.Mul (a, b) -> vals.(2 * i) <- round (value a *. value b)
-      | Ir.Neg a -> vals.(2 * i) <- -.value a
       | Ir.Const c -> vals.(2 * i) <- round c)
     p.Ir.gates;
   Array.map value p.Ir.outputs
-
-(* Per-slot input binding for [run_planes]. *)
-type src =
-  | Plane of F.t * int  (** plane, offset: slot reads [plane.(off + i)] *)
-  | Neg_plane of F.t * int  (** negated plane load (the sub kernels) *)
-  | Scalar of float  (** loop-invariant scalar (alpha components) *)
-  | Acc of float ref  (** loop-carried accumulator, read each iteration *)
-
-(* Per-output sink. *)
-type dst =
-  | Store of F.t * int  (** write [plane.(off + i)] *)
-  | Update of float ref  (** accumulator update, after all reads *)
-  | Discard
-
-let run_planes (p : Ir.t) ~lo ~hi ~(args : src array) ~(outs : dst array) : unit =
-  if Array.length args <> p.Ir.num_inputs then
-    invalid_arg (Printf.sprintf "Fpan_ir.Interp.run_planes: %s: bad arg count" p.Ir.name);
-  if Array.length outs <> Array.length p.Ir.outputs then
-    invalid_arg (Printf.sprintf "Fpan_ir.Interp.run_planes: %s: bad out count" p.Ir.name);
-  let inp = Array.make (Array.length args) 0.0 in
-  for i = lo to hi - 1 do
-    Array.iteri
-      (fun k s ->
-        inp.(k) <-
-          (match s with
-          | Plane (a, off) -> F.get a (off + i)
-          | Neg_plane (a, off) -> -.F.get a (off + i)
-          | Scalar v -> v
-          | Acc r -> !r))
-      args;
-    let res = run p inp in
-    (* all outputs are computed before any sink fires, so an [Update]
-       feeding an [Acc] of the same ref is well-defined *)
-    Array.iteri
-      (fun k d ->
-        match d with
-        | Store (a, off) -> F.set a (off + i) res.(k)
-        | Update r -> r := res.(k)
-        | Discard -> ())
-      outs
-  done

@@ -4,14 +4,14 @@
    a program input or an output port of an earlier gate.  The two-output
    gates are the error-free transformations (TwoSum / FastTwoSum /
    TwoProd: port 0 carries the principal result, port 1 the exact
-   rounding error); Add / Mul / Neg / Const are the plain float ops the
+   rounding error); Add / Mul / Const are the plain float ops the
    networks discard errors through.
 
    Unlike [Fpan.Network] -- whose gates mutate a fixed set of wires --
    this form is pure: every gate output is a fresh value, which is what
-   makes programs composable (fusion is inlining, see {!Fuse}) and
-   stageable (interpretation over planes, or OCaml codegen; see
-   {!Interp} and {!Codegen}).  The front end ({!Front}) derives programs
+   makes programs composable (composition is inlining, see {!Fuse}) and
+   stageable (interpretation, or OCaml codegen; see {!Interp} and
+   {!Codegen}).  The front end ({!Front}) derives programs
    from the networks gate-for-gate, so a program evaluates bitwise
    identically to [Fpan.Interp.run] on the source network. *)
 
@@ -25,7 +25,6 @@ type gate =
   | Two_prod of value * value
   | Add of value * value
   | Mul of value * value
-  | Neg of value
   | Const of float
 
 type t = {
@@ -37,11 +36,10 @@ type t = {
 
 let out_ports = function
   | Two_sum _ | Fast_two_sum _ | Two_prod _ -> 2
-  | Add _ | Mul _ | Neg _ | Const _ -> 1
+  | Add _ | Mul _ | Const _ -> 1
 
 let operands = function
   | Two_sum (a, b) | Fast_two_sum (a, b) | Two_prod (a, b) | Add (a, b) | Mul (a, b) -> [ a; b ]
-  | Neg a -> [ a ]
   | Const _ -> []
 
 let gate_name = function
@@ -50,7 +48,6 @@ let gate_name = function
   | Two_prod _ -> "two_prod"
   | Add _ -> "add"
   | Mul _ -> "mul"
-  | Neg _ -> "neg"
   | Const _ -> "const"
 
 let size t = Array.length t.gates
@@ -66,7 +63,7 @@ let flops t =
       | Two_sum _ -> 6
       | Fast_two_sum _ -> 3
       | Two_prod _ -> 2
-      | Add _ | Mul _ | Neg _ -> 1
+      | Add _ | Mul _ -> 1
       | Const _ -> 0)
     0 t.gates
 
@@ -113,7 +110,7 @@ end
 
 (* Append [prog]'s gates to builder [b], substituting [args] for its
    inputs; returns [prog]'s outputs re-based into [b].  This is the
-   primitive every fusion is built from: gate order and operand order
+   primitive every composition is built from: gate order and operand order
    are preserved exactly, so the inlined copy computes bitwise the same
    values as running [prog] on the bound arguments. *)
 let inline b prog (args : value array) : value array =
@@ -132,7 +129,6 @@ let inline b prog (args : value array) : value array =
         | Two_prod (a, b') -> Two_prod (subst a, subst b')
         | Add (a, b') -> Add (subst a, subst b')
         | Mul (a, b') -> Mul (subst a, subst b')
-        | Neg a -> Neg (subst a)
         | Const c -> Const c
       in
       base.(i) <- B.push b g')

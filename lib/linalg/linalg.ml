@@ -254,14 +254,11 @@ end
 
 (* Same refinement scheme, but the extended-precision matrix,
    solution, right-hand side and residual all live in planar
-   (structure-of-arrays) vectors, and each residual row is the FUSED
-   [dot_sub] wire program (lib/fpan_ir): the b - <row, x> subtraction
-   is staged behind the dot accumulator, so the refinement hot loop is
-   one pass over the planes with no boxed intermediates.  The fused
-   program's gate sequence is the unfused composition's by
-   construction, so the returned solution and stats are bitwise
-   identical to [Refine] — only the layout and the allocation profile
-   change. *)
+   (structure-of-arrays) vectors: the residual is a planar GEMV (each
+   row one [V.dot] fold) followed by an elementwise [V.sub], the same
+   gates in the same order as [Refine]'s [mat_vec] then [M.sub], so the
+   returned solution and stats are bitwise identical to [Refine] — only
+   the layout and the allocation profile change. *)
 module Refine_batched
     (M : Multifloat.Ops.S)
     (V : Multifloat.Batch.V with type elt = M.t) =
@@ -293,18 +290,19 @@ struct
     let xv = V.of_array (Array.map M.of_float (R.solve_double n lu (Array.map M.to_float b))) in
     (* Two residual buffers: the best-so-far residual feeds the next
        correction solve, so a candidate must not clobber it.  With a
-       scheduler the fused residual runs row-parallel on the runtime
-       engine; each row is the same fused dot_sub pass, so the
-       refinement trajectory stays bitwise identical to the sequential
-       path at any worker count. *)
+       scheduler the GEMV runs row-parallel on the runtime engine; each
+       row is the same sequential dot, so the refinement trajectory
+       stays bitwise identical to the sequential path at any worker
+       count. *)
     let rbest = ref (V.create n) and rtry = ref (V.create n) in
     let resid_norm dst =
       (match rt with
-      | Some rt -> E.gemv_residual rt ~m:n ~n ~a:am ~x:xv ~b:bv ~r:dst ()
+      | Some rt -> E.gemv rt ~m:n ~n ~a:am ~x:xv ~y:dst ()
       | None ->
           for i = 0 to n - 1 do
-            V.set dst i (V.dot_sub ~b:(V.get bv i) ~x:am ~xoff:(i * n) ~y:xv ~yoff:0 ~len:n)
+            V.set dst i (V.dot ~init:M.zero ~x:am ~xoff:(i * n) ~y:xv ~yoff:0 ~len:n)
           done);
+      V.sub ~dst bv dst;
       norm_inf_v dst
     in
     let best = ref (resid_norm !rbest) in

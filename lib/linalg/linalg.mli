@@ -76,10 +76,10 @@ end
 (** {!Refine} over a planar (structure-of-arrays) layout: the
     extended-precision matrix and solution are stored as
     {!Multifloat.Batch.V} vectors and the residual — the hot loop of
-    refinement — is computed row-wise with the generated planar dot
-    kernel.  Arithmetic and accumulation orders match {!Refine}
-    exactly, so solutions and stats are bitwise identical; only the
-    memory layout changes. *)
+    refinement — is a planar GEMV (one generated dot kernel per row)
+    followed by an elementwise planar subtract.  Arithmetic and
+    accumulation orders match {!Refine} exactly, so solutions and
+    stats are bitwise identical; only the memory layout changes. *)
 module Refine_batched
     (M : Multifloat.Ops.S)
     (_ : Multifloat.Batch.V with type elt = M.t) : sig

@@ -69,20 +69,11 @@ module type V = sig
   (** Index-order fold [acc <- add acc x.(xoff+i)] starting from
       [init]: the scalar SUM accumulation order. *)
 
-  val dot_sub : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
-  (** [sub b (dot ~init:zero ~x ~xoff ~y ~yoff ~len)] with the final
-      subtraction staged behind the dot accumulator: one fused pass
-      over the planes computing a GEMV-residual row with no boxed
-      intermediate.  Bitwise equal to the unfused composition (the
-      scalar [sub] is the add network on negated components, which is
-      exactly the staged tail). *)
-
   val axpy_dot : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
-  (** Fused [axpy] + [dot]: stores [y.(i) <- add (mul alpha x.(i))
-      y.(i)] and folds [acc <- add acc (mul y.(i) w.(i))] in the same
-      pass over the planes, for [lo <= i < hi]; returns the fold
-      started from [init].  Bitwise equal to [axpy] followed by
-      [dot ~x:y ~y:w] over the same range. *)
+  (** [axpy ~lo ~hi ~alpha ~x ~y], then the {!dot} of the updated [y]
+      against [w] over the same range, started from [init]: two
+      passes, spelled as one call because the repository benchmark
+      ([perfbench/]) calls it. *)
 
   val transpose : m:int -> n:int -> src:t -> dst:t -> unit
   (** [dst.(j*m+i) <- src.(i*n+j)] viewing [src] as an [m*n] row-major

@@ -381,41 +381,6 @@ let bench_serve =
       Req ("batching_speedup", num_or_null);
       Opt ("adaptive", serve_adaptive_block) ]
 
-(* --- BENCH_fuse.json (fpan-bench-fuse/1) ---------------------------- *)
-
-(* Cross-op fusion ablation: each cell times one fused wire-program
-   kernel against its op-by-op composition ("ablation-fusion") and
-   records that the two paths agreed bitwise. *)
-let fuse_cell =
-  Obj
-    [ Req ("kernel", Str);
-      Req ("unfused", Str);
-      Req ("bits", Int);
-      Req ("n", Int);
-      Req ("reps", Int);
-      Req ("fused_wall_s", Num);
-      Req ("unfused_wall_s", Num);
-      Req ("speedup", Num);
-      Req ("bitwise_equal", Bool) ]
-
-let fuse_refine =
-  Obj
-    [ Req ("bits", Int);
-      Req ("n", Int);
-      Req ("iterations", Int);
-      Req ("fused_iter_s", Num);
-      Req ("unfused_iter_s", Num);
-      Req ("speedup", Num);
-      Req ("bitwise_equal", Bool) ]
-
-let bench_fuse =
-  Obj
-    [ Req ("schema", Str_const "fpan-bench-fuse/1");
-      Req ("mode", Str_const "ablation-fusion");
-      Req ("workers", Int);
-      Req ("cells", List fuse_cell);
-      Opt ("refine", fuse_refine) ]
-
 (* --- CHAOS_report.json (fpan-chaos/1) ------------------------------- *)
 
 (* One campaign scenario: the fault classes it exercises, exact

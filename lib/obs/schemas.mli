@@ -35,10 +35,6 @@ val bench_serve : Schema.t
 (** [BENCH_serve.json], the load-generator artifact (same
     [fpan-serve/1] family). *)
 
-val bench_fuse : Schema.t
-(** [BENCH_fuse.json], the cross-op fusion ablation, schema id
-    [fpan-bench-fuse/1]. *)
-
 val chaos_report : Schema.t
 (** [CHAOS_report.json], the fault-injection campaign artifact, schema
     id [fpan-chaos/1].  Deterministic for a fixed

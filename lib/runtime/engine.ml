@@ -41,8 +41,6 @@ module type VEC = sig
   val axpy : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> unit
   val madd : alpha:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> unit
   val dot : init:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
-  val dot_sub : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
-  val axpy_dot : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
 end
 
 type cfg = { tile_m : int; tile_n : int; grain : int }
@@ -75,36 +73,6 @@ module Make (E : ELT) (V : VEC with type elt = E.t) = struct
     Sched.parallel_for rt ~grain:(max 1 cfg.grain) ~lo:0 ~hi:n (fun lo hi ->
         Sched.add_flops rt (hi - lo);
         V.axpy ~lo ~hi ~alpha ~x ~y)
-
-  (* Fused axpy + dot: each leaf updates its disjoint y range in place
-     and folds the freshly-updated y against w, so one pass over the
-     planes replaces two.  The reduction tree is the same fixed shape
-     as [dot]'s, hence bitwise equal to [axpy] followed by [dot y w] at
-     any worker count. *)
-  let axpy_dot rt ?(cfg = default_cfg) ~alpha ~x ~y ~w () =
-    let n = V.length x in
-    check_len "Engine.axpy_dot: y" y n;
-    check_len "Engine.axpy_dot: w" w n;
-    Sched.parallel_reduce rt ~grain:(max 1 cfg.grain) ~lo:0 ~hi:n
-      ~leaf:(fun lo hi ->
-        Sched.add_flops rt (2 * (hi - lo));
-        V.axpy_dot ~lo ~hi ~alpha ~x ~y ~w ~init:E.zero)
-      E.add
-
-  (* r <- b - A x, row-partitioned like [gemv]; each row is one fused
-     [dot_sub] pass, so results are bitwise equal to gemv-then-subtract
-     at any worker count. *)
-  let gemv_residual rt ?(cfg = default_cfg) ~m ~n ~a ~x ~b ~r () =
-    check_len "Engine.gemv_residual: a" a (m * n);
-    check_len "Engine.gemv_residual: x" x n;
-    check_len "Engine.gemv_residual: b" b m;
-    check_len "Engine.gemv_residual: r" r m;
-    let grain = max 1 (cfg.grain / max 1 n) in
-    Sched.parallel_for rt ~grain ~lo:0 ~hi:m (fun lo hi ->
-        Sched.add_flops rt ((hi - lo) * (n + 1));
-        for i = lo to hi - 1 do
-          V.set r i (V.dot_sub ~b:(V.get b i) ~x:a ~xoff:(i * n) ~y:x ~yoff:0 ~len:n)
-        done)
 
   let gemv rt ?(cfg = default_cfg) ~m ~n ~a ~x ~y () =
     check_len "Engine.gemv: a" a (m * n);

@@ -30,8 +30,6 @@ module type VEC = sig
   val axpy : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> unit
   val madd : alpha:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> unit
   val dot : init:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
-  val dot_sub : b:elt -> x:t -> xoff:int -> y:t -> yoff:int -> len:int -> elt
-  val axpy_dot : lo:int -> hi:int -> alpha:elt -> x:t -> y:t -> w:t -> init:elt -> elt
 end
 
 type cfg = {
@@ -59,22 +57,9 @@ module Make (E : ELT) (V : VEC with type elt = E.t) : sig
   (** [y <- alpha x + y], range-partitioned (elementwise, so bitwise
       equal to the sequential kernel). *)
 
-  val axpy_dot :
-    Sched.t -> ?cfg:cfg -> alpha:E.t -> x:V.t -> y:V.t -> w:V.t -> unit -> E.t
-  (** Fused [y <- alpha x + y] and [dot y w] in one pass over the
-      planes, using the same fixed-shape reduction tree as {!dot}:
-      bitwise equal to [axpy] followed by [dot y w] at any worker
-      count (the leaves update disjoint [y] ranges). *)
-
   val gemv : Sched.t -> ?cfg:cfg -> m:int -> n:int -> a:V.t -> x:V.t -> y:V.t -> unit -> unit
   (** [y <- A x], row-partitioned; each row is the sequential planar
       dot, so results are bitwise equal to the sequential kernel. *)
-
-  val gemv_residual :
-    Sched.t -> ?cfg:cfg -> m:int -> n:int -> a:V.t -> x:V.t -> b:V.t -> r:V.t -> unit -> unit
-  (** [r <- b - A x], row-partitioned; each row is one fused
-      {!VEC.dot_sub} pass, bitwise equal to {!gemv} followed by an
-      elementwise subtract at any worker count. *)
 
   val gemm :
     Sched.t -> ?cfg:cfg -> m:int -> n:int -> k:int -> a:V.t -> b:V.t -> c:V.t -> unit -> unit

@@ -51,11 +51,11 @@ let arity = function
   | Sqrt | Exp | Log | Sin | Sum -> 1
   | Add | Mul | Div | Dot | Axpy | Poly_eval | Program -> 2
 
-(* The multi-op chains a [Program] request may name: each is a
-   Fuse.chain whose single-pass kernel is bitwise the op-by-op
-   composition the server evaluates.  ["mul"; "sum"] is elementwise mul then sum (the
-   unfused spelling of DOT); ["axpy"; "dot"] updates y in place and
-   dots it against z; ["sum"] is the plain fold (a 1-gate program). *)
+(* The multi-op chains a [Program] request may name, each evaluated
+   as its op-by-op composition: ["sum"] is the plain fold,
+   ["mul"; "sum"] elementwise mul then sum (a spelling of DOT), and
+   ["axpy"; "dot"] updates y and dots it against z.  The first two
+   are the same ops as Sum and Dot (Adaptive.Sla.of_wire). *)
 let programs = [ [ "sum" ]; [ "mul"; "sum" ]; [ "axpy"; "dot" ] ]
 
 let program_name chain = String.concat ";" chain

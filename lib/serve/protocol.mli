@@ -40,9 +40,9 @@ type op =
   | Poly_eval  (** Horner: coefficients x (low degree first) at point y *)
   | Program
       (** A multi-op chain named by [prog] (one of {!programs}),
-          evaluated as the op-by-op composition — bitwise what the
-          chain's fused single-pass wire program computes.  [["mul"; "sum"]] takes x and y (same length)
-          and returns the scalar sum of the products; [["axpy"; "dot"]]
+          evaluated as the op-by-op composition.  [["mul"; "sum"]]
+          takes x and y (same length) and returns the scalar sum of
+          the products; [["axpy"; "dot"]]
           takes x, y = alpha followed by a vector of x's length, and z
           of x's length, returning the dot of the updated y against z
           followed by the updated y itself; [["sum"]] is the plain

@@ -99,9 +99,6 @@ let of_ir (ir : Fpan_ir.Ir.t) : t =
       | Fpan_ir.Ir.Mul (a, b) ->
           let r = fresh (Pmul (reg_of a, reg_of b)) in
           ports.(gi) <- (r, r)
-      | Fpan_ir.Ir.Neg a ->
-          let r = fresh (Pneg (reg_of a)) in
-          ports.(gi) <- (r, r)
       | Fpan_ir.Ir.Const c ->
           let r = fresh (Pconst c) in
           ports.(gi) <- (r, r))

@@ -1,7 +1,7 @@
 (** Constraint-circuit lowering of IR wire programs.
 
     [of_ir] compiles an {!Fpan_ir.Ir.t} — and hence, via
-    [Fpan_ir.Front], any [Fpan.Network] or fused kernel chain — into a
+    [Fpan_ir.Front], any [Fpan.Network] or kernel chain — into a
     flat straight-line list of rounded primitive operations over a
     register file, plus one exactness {e constraint} per EFT gate
     (TwoSum/FastTwoSum: [s + e = a + b]; TwoProd: [p + e = a * b]).

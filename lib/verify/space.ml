@@ -115,7 +115,7 @@ let operands t idx =
   out
 
 (* Concatenate the tuple's components into [buf] (component-major slot
-   order — the layout of Front.add_kernel/mul_kernel and every fused
+   order — the layout of Front.add_kernel/mul_kernel and every kernel
    chain).  Allocation-free: the sweep's inner loop. *)
 let fill_inputs t idx (buf : float array) =
   let n = Array.length t.slots in

@@ -32,7 +32,7 @@ val operands : t -> int -> float array array
 val fill_inputs : t -> int -> float array -> unit
 (** Concatenate the tuple's components into a caller buffer of length
     {!num_inputs} (component-major slot order, the layout of
-    [Front.add_kernel]/[mul_kernel] and the fused chains).
+    [Front.add_kernel]/[mul_kernel] and the kernel chains).
     Allocation-free. *)
 
 val num_inputs : t -> int

@@ -1,6 +1,6 @@
 (* Exhaustive small-width sweeps over constraint circuits.
 
-   A sweep takes a [spec] — a network or fused chain plus an operand
+   A sweep takes a [spec] — a network or kernel chain plus an operand
    space shape — lowers the program to a {!Circuit}, enumerates every
    tuple of the {!Space} on the work-stealing runtime, and checks the
    paper's obligations against exact double arithmetic:
@@ -141,21 +141,18 @@ let mul_network ?(width = 5) ?(window = 1) ?(gap = 2) (net : Fpan.Network.t) ~te
     anchored_slot = 0;
   }
 
-(* Operand slots and anchoring per fused chain.  The anchored slot is
+(* Operand slots and anchoring per kernel chain.  The anchored slot is
    one whose scaling by 2^k scales the whole result by 2^k (jointly
    with the implicit rescaling of the other additive operands covered
    by their exponent windows) — see the equivariance note in space.ml. *)
 let chain_slots =
   [
     ("add", (2, 0));
-    ("sub", (2, 0));
     ("mul", (2, 0));
     ("axpy", (3, 0));
     ("madd", (3, 0));
     ("dot_step", (3, 1));
     ("sum_step", (2, 0));
-    ("axpy_dot_step", (5, 0));
-    ("residual_tail", (2, 0));
   ]
 
 let chain ?(width = 4) ?(window = 1) ?(gap = 1) name ~terms =
@@ -182,14 +179,10 @@ let chain ?(width = 4) ?(window = 1) ?(gap = 1) name ~terms =
 (* Footprint bound                                                     *)
 
 (* Highest multiplicative depth of any value the target computes:
-   1 for pure sums, 2 with one product layer, 3 for axpy_dot_step's
-   product of an already-multiplied intermediate. *)
+   1 for pure sums, 2 with one product layer. *)
 let degree = function
-  | Add_network -> 1
-  | Mul_network -> 2
-  | Chain ("add" | "sub" | "sum_step" | "residual_tail") -> 1
-  | Chain ("mul" | "dot_step" | "axpy" | "madd") -> 2
-  | Chain _ -> 3
+  | Add_network | Chain ("add" | "sum_step") -> 1
+  | Mul_network | Chain _ -> 2
 
 let ceil_log2 n =
   let rec go b v = if v >= n then b else go (b + 1) (v * 2) in
@@ -250,7 +243,7 @@ let interleave_arr t (x : float array) (y : float array) =
 
 (* The independent scalar path for the equivalence obligation: the
    mutable-wire interpreter run gate-by-gate on the *network* (not the
-   IR), composed per chain exactly as the fusion pass composes pieces.
+   IR), composed per chain exactly as [Fpan_ir.Fuse.compose] composes pieces.
    Shares no lowering code with [Circuit.eval]. *)
 let scalar_reference spec ~round : float array -> float array =
   let t = spec.terms in
@@ -272,19 +265,12 @@ let scalar_reference spec ~round : float array -> float array =
            fun x y -> Fpan.Interp.run_rounded ~round mul_net (mul_expand_r ~round t x y))
       in
       let rmul x y = (Lazy.force rmul) x y in
-      let neg a = Array.map Float.neg a in
       match name with
       | "add" | "sum_step" -> fun buf -> radd (sub buf 0) (sub buf t)
-      | "sub" | "residual_tail" -> fun buf -> radd (sub buf 0) (neg (sub buf t))
       | "mul" -> fun buf -> rmul (sub buf 0) (sub buf t)
       | "dot_step" -> fun buf -> radd (sub buf 0) (rmul (sub buf t) (sub buf (2 * t)))
       | "axpy" -> fun buf -> radd (rmul (sub buf 0) (sub buf t)) (sub buf (2 * t))
       | "madd" -> fun buf -> radd (sub buf (2 * t)) (rmul (sub buf 0) (sub buf t))
-      | "axpy_dot_step" ->
-          fun buf ->
-            let y' = radd (rmul (sub buf 0) (sub buf t)) (sub buf (2 * t)) in
-            let acc' = radd (sub buf (4 * t)) (rmul y' (sub buf (3 * t))) in
-            Array.append y' acc'
       | other -> invalid_arg (Printf.sprintf "Verify.Sweep: no scalar reference for %S" other))
 
 (* ------------------------------------------------------------------ *)

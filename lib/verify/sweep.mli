@@ -7,7 +7,7 @@
     - {!gate_level} proves the EFT building blocks (TwoSum,
       FastTwoSum, TwoProd) over {e every ordered pair} of a full
       reduced format — overflow, subnormals, signed zeros included;
-    - {!run} proves whole networks and fused chains over every valid
+    - {!run} proves whole networks and kernel chains over every valid
       width-w expansion tuple of a shaped operand space, under the
       precision-only rounding and its scale/sign symmetry quotients.
 
@@ -55,7 +55,7 @@ val add_network : ?width:int -> ?window:int -> ?gap:int -> Fpan.Network.t -> ter
 val mul_network : ?width:int -> ?window:int -> ?gap:int -> Fpan.Network.t -> terms:int -> spec
 
 val chain : ?width:int -> ?window:int -> ?gap:int -> string -> terms:int -> spec
-(** A fused-chain spec by {!Fpan_ir.Fuse.chain} name.  Chains carry the
+(** A kernel-chain spec by {!Fpan_ir.Fuse.chain} name.  Chains carry the
     EFT, nonoverlap and equivalence obligations (no scalar error
     bound). *)
 

@@ -133,7 +133,7 @@ let test_scale_overflow () =
         (o.E.bound <= AD.Certify.threshold ~q:10 ~scale))
     [ ("mul big x 0", AD.Sla.Mul, { AD.Sla.x = [| big |]; y = [| zero2 |]; z = [||] });
       ( "axpy;dot with alpha 0",
-        AD.Sla.Chain [ "axpy"; "dot" ],
+        AD.Sla.Axpy_dot,
         { AD.Sla.x = [| big |]; y = [| zero2; [| 1.0; 0.0 |] |]; z = [| [| 1.0; 0.0 |] |] } );
       ( "axpy with alpha 0",
         AD.Sla.Axpy,
@@ -246,6 +246,42 @@ let test_underflow_cannot_certify () =
   Alcotest.(check string) "tiny x 0 settles at mf2" "mf2" o.E.chosen;
   Alcotest.(check (float 0.0)) "tiny x 0 certifies bound 0" 0.0 o.E.bound
 
+(* --- a non-finite result cannot certify --------------------------------- *)
+
+(* The tier kernels return [nan; nan] for a subnormal divisor or
+   radicand even where the exact result is finite, while the static
+   certificate, computed from the operands alone, reads a finite
+   bound.  Such a result must take the bigfloat rung, which answers
+   finitely and contains the true error. *)
+let test_nonfinite_cannot_certify () =
+  let e m k = [| Float.ldexp m k; 0.0 |] in
+  let divisor = e 3.0 (-1040) in
+  List.iter
+    (fun (label, op, inp, qs) ->
+      List.iter
+        (fun q ->
+          let o = run_exn ~q ~op inp in
+          if not (Array.for_all (Array.for_all Float.is_finite) o.E.result) then
+            Alcotest.failf "%s q=%d: %s certified a non-finite result with bound %h" label q
+              o.E.chosen o.E.bound;
+          Alcotest.(check string) (Printf.sprintf "%s q=%d: bigfloat rung" label q) "bigfloat"
+            o.E.chosen;
+          let true_err_up = AD.Certify.ball_bound op ~prec:oracle_prec inp o.E.result in
+          if not (true_err_up <= o.E.bound) then
+            Alcotest.failf "%s q=%d: certified %h, true error up to %h" label q o.E.bound
+              true_err_up)
+        qs)
+    [ ( "div 2^-1060 / 3*2^-1040",
+        AD.Sla.Div,
+        { AD.Sla.x = [| e 1.0 (-1060) |]; y = [| divisor |]; z = [||] },
+        [ 10; 100 ] );
+      ( "div 2^-60 / 3*2^-1040",
+        AD.Sla.Div,
+        { AD.Sla.x = [| e 1.0 (-60) |]; y = [| divisor |]; z = [||] },
+        [ 10; 100 ] );
+      ("sqrt 3*2^-1040", AD.Sla.Sqrt, { AD.Sla.x = [| divisor |]; y = [||]; z = [||] }, [ 1; 10; 100 ])
+    ]
+
 (* --- the fuzz gate, shrunk -------------------------------------------- *)
 
 let test_fuzz_gate () =
@@ -271,5 +307,7 @@ let () =
         [ Alcotest.test_case "ladder vs ball oracle" `Quick test_containment_smoke;
           Alcotest.test_case "arb registry balls" `Quick test_arb_ball_containment;
           Alcotest.test_case "underflowing magnitude cannot certify" `Quick
-            test_underflow_cannot_certify ] );
+            test_underflow_cannot_certify;
+          Alcotest.test_case "non-finite result cannot certify" `Quick
+            test_nonfinite_cannot_certify ] );
       ("fuzz", [ Alcotest.test_case "sla gate" `Quick test_fuzz_gate ]) ]

@@ -263,15 +263,12 @@ module CheckB (N : INSTANCE) = struct
         Kb.axpy ~alpha ~x:(V.of_array xs) ~y:y2;
         Array.for_all (fun b -> b) (Array.mapi (fun i v -> eq_t v (V.get y2 i)) y1))
 
-  (* --- cross-op fusion: the fused single-pass kernels (sum, dot,
-     dot_sub, axpy_dot, gemv_residual) are bitwise their op-by-op
-     compositions -- the spellings that materialize every intermediate
-     plane -- over the Section 4.4 corpus classes (subnormal,
-     near-overflow, cancellation, ulp ties, zeros, specials), lengths
-     {0, 1, 7, 1024}, and on the work-stealing engine at 1 and 4
-     workers. --- *)
-
-  module Eng = Runtime.Engine.Make (N) (V)
+  (* --- the folds: the single-pass [sum] and [dot] kernels are
+     bitwise the scalar add fold and the op-by-op mul-then-sum
+     spelling -- which materializes the product plane -- over the
+     Section 4.4 corpus classes (subnormal, near-overflow,
+     cancellation, ulp ties, zeros, specials) at lengths
+     {0, 1, 7, 1024}. --- *)
 
   (* the corpus speaks multi-term expansions only; the single-plane
      double tier falls back to the adversarial element mix *)
@@ -287,16 +284,13 @@ module CheckB (N : INSTANCE) = struct
     (xs, ys)
 
   let check_elt what len b1 b2 =
-    if not (eq_t b1 b2) then Alcotest.failf "%s fused %s (len %d) differs" N.name what len
+    if not (eq_t b1 b2) then Alcotest.failf "%s %s (len %d) differs" N.name what len
 
-  let test_fused () =
+  let test_folds () =
     List.iter
       (fun len ->
         let xs, ys = corpus_elts len (7 * len) in
-        let ws, _ = corpus_elts len ((11 * len) + 3) in
-        let alpha = if len = 0 then N.of_float 1.5 else ys.(0) in
-        let b0 = if len = 0 then N.of_float 0.75 else xs.(0) in
-        let xv = V.of_array xs and yv = V.of_array ys and wv = V.of_array ws in
+        let xv = V.of_array xs and yv = V.of_array ys in
         (* sum is the scalar add fold in index order *)
         check_elt "sum" len
           (Array.fold_left N.add N.zero xs)
@@ -304,53 +298,13 @@ module CheckB (N : INSTANCE) = struct
         (* dot = elementwise mul into a temporary plane set, then sum *)
         let tmp = V.create len in
         V.mul ~dst:tmp xv yv;
-        let d_unfused = V.sum ~init:N.zero ~x:tmp ~xoff:0 ~len in
-        let d_fused = V.dot ~init:N.zero ~x:xv ~xoff:0 ~y:yv ~yoff:0 ~len in
-        check_elt "dot" len d_unfused d_fused;
-        (* dot_sub = the subtract after the dot fold *)
-        check_elt "dot_sub" len (N.sub b0 d_fused)
-          (V.dot_sub ~b:b0 ~x:xv ~xoff:0 ~y:yv ~yoff:0 ~len);
-        (* axpy_dot = axpy pass, then dot re-reading the updated plane *)
-        let y1 = V.of_array ys and y2 = V.of_array ys in
-        let acc_f = V.axpy_dot ~lo:0 ~hi:len ~alpha ~x:xv ~y:y1 ~w:wv ~init:N.zero in
-        V.axpy ~lo:0 ~hi:len ~alpha ~x:xv ~y:y2;
-        let acc_u = V.dot ~init:N.zero ~x:y2 ~xoff:0 ~y:wv ~yoff:0 ~len in
-        check_elt "axpy_dot acc" len acc_u acc_f;
-        check_vec (Printf.sprintf "axpy_dot y (len %d)" len) (V.to_array y2) y1;
-        (* gemv_residual = gemv into a temporary vector, then subtract *)
-        let m = 3 in
-        let amat, _ = corpus_elts (m * len) ((13 * len) + 1) in
-        let bvec, _ = corpus_elts m ((17 * len) + 5) in
-        let av = V.of_array amat and bv = V.of_array bvec in
-        let r_f = V.create m and yt = V.create m and r_u = V.create m in
-        Kb.gemv_residual ~m ~n:len ~a:av ~x:xv ~b:bv ~r:r_f;
-        Kb.gemv ~m ~n:len ~a:av ~x:xv ~y:yt;
-        V.sub ~dst:r_u bv yt;
-        check_vec (Printf.sprintf "gemv_residual (len %d)" len) (V.to_array r_u) r_f;
-        (* the engine's fused paths reproduce their own two-pass
-           compositions at 1 and 4 workers *)
-        List.iter
-          (fun workers ->
-            Runtime.Sched.with_sched ~workers (fun rt ->
-                let y3 = V.of_array ys and y4 = V.of_array ys in
-                let af = Eng.axpy_dot rt ~alpha ~x:xv ~y:y3 ~w:wv () in
-                Eng.axpy rt ~alpha ~x:xv ~y:y4 ();
-                let au = Eng.dot rt y4 wv in
-                check_elt (Printf.sprintf "engine axpy_dot (%d workers)" workers) len au af;
-                check_vec
-                  (Printf.sprintf "engine axpy_dot y (%d workers, len %d)" workers len)
-                  (V.to_array y4) y3;
-                let r_rt = V.create m in
-                Eng.gemv_residual rt ~m ~n:len ~a:av ~x:xv ~b:bv ~r:r_rt ();
-                check_vec
-                  (Printf.sprintf "engine gemv_residual (%d workers, len %d)" workers len)
-                  (V.to_array r_f) r_rt))
-          [ 1; 4 ])
+        let d_two_pass = V.sum ~init:N.zero ~x:tmp ~xoff:0 ~len in
+        check_elt "dot" len d_two_pass (V.dot ~init:N.zero ~x:xv ~xoff:0 ~y:yv ~yoff:0 ~len))
       [ 0; 1; 7; 1024 ]
 
   (* --- the IR interpreter is an executable oracle: iterating the
-     fused per-element wire programs from lib/fpan_ir reproduces the
-     planar kernels bit for bit (tiers with a wire program only) --- *)
+     dot_step wire program from lib/fpan_ir reproduces the planar dot
+     kernel bit for bit (tiers with a wire program only) --- *)
 
   let test_ir_oracle () =
     if V.terms >= 2 && V.terms <= 4 then begin
@@ -358,8 +312,6 @@ module CheckB (N : INSTANCE) = struct
       let len = 23 in
       let comps = N.components in
       let xs, ys = corpus_elts len 31 in
-      let ws, _ = corpus_elts len 57 in
-      let xv = V.of_array xs in
       let dot_step = Fpan_ir.Fuse.chain "dot_step" t in
       let acc = ref N.zero in
       for i = 0 to len - 1 do
@@ -368,54 +320,9 @@ module CheckB (N : INSTANCE) = struct
             (Fpan_ir.Interp.run dot_step
                (Array.concat [ comps !acc; comps xs.(i); comps ys.(i) ]))
       done;
-      let v = V.dot ~init:N.zero ~x:xv ~xoff:0 ~y:(V.of_array ys) ~yoff:0 ~len in
-      if not (eq_t !acc v) then Alcotest.failf "%s IR dot oracle differs" N.name;
-      let rtail = Fpan_ir.Fuse.chain "residual_tail" t in
-      let b0 = ys.(0) in
-      let r = N.of_components (Fpan_ir.Interp.run rtail (Array.append (comps b0) (comps v))) in
-      let v2 = V.dot_sub ~b:b0 ~x:xv ~xoff:0 ~y:(V.of_array ys) ~yoff:0 ~len in
-      if not (eq_t r v2) then Alcotest.failf "%s IR residual_tail oracle differs" N.name;
-      let step = Fpan_ir.Fuse.chain "axpy_dot_step" t in
-      let alpha = ws.(0) in
-      let y = Array.copy ys in
-      let acc = ref N.zero in
-      for i = 0 to len - 1 do
-        let out =
-          Fpan_ir.Interp.run step
-            (Array.concat
-               [ comps alpha; comps xs.(i); comps y.(i); comps ws.(i); comps !acc ])
-        in
-        y.(i) <- N.of_components (Array.sub out 0 t);
-        acc := N.of_components (Array.sub out t t)
-      done;
-      let yv = V.of_array ys in
-      let accv = V.axpy_dot ~lo:0 ~hi:len ~alpha ~x:xv ~y:yv ~w:(V.of_array ws) ~init:N.zero in
-      if not (eq_t !acc accv) then Alcotest.failf "%s IR axpy_dot oracle acc differs" N.name;
-      check_vec "IR axpy_dot oracle y" y yv
+      let v = V.dot ~init:N.zero ~x:(V.of_array xs) ~xoff:0 ~y:(V.of_array ys) ~yoff:0 ~len in
+      if not (eq_t !acc v) then Alcotest.failf "%s IR dot oracle differs" N.name
     end
-
-  let qcheck_fused =
-    QCheck.Test.make ~count:300
-      ~name:(N.name ^ " fused axpy_dot/dot_sub bitwise = unfused")
-      (QCheck.pair arb_elt_floats arb_elt_floats)
-      (fun (lx, ly) ->
-        let n = min (List.length lx) (List.length ly) in
-        let xs = Array.init n (List.nth lx) |> Array.map N.of_float in
-        let ys = Array.init n (List.nth ly) |> Array.map N.of_float in
-        let alpha = N.of_float (List.nth ly 0) in
-        let b = N.of_float (List.nth lx 0) in
-        let xv = V.of_array xs and wv = V.of_array xs in
-        let y1 = V.of_array ys and y2 = V.of_array ys in
-        let acc_f = V.axpy_dot ~lo:0 ~hi:n ~alpha ~x:xv ~y:y1 ~w:wv ~init:N.zero in
-        V.axpy ~lo:0 ~hi:n ~alpha ~x:xv ~y:y2;
-        let acc_u = V.dot ~init:N.zero ~x:y2 ~xoff:0 ~y:wv ~yoff:0 ~len:n in
-        let ds = V.dot_sub ~b ~x:xv ~xoff:0 ~y:(V.of_array ys) ~yoff:0 ~len:n in
-        let du =
-          N.sub b (V.dot ~init:N.zero ~x:xv ~xoff:0 ~y:(V.of_array ys) ~yoff:0 ~len:n)
-        in
-        eq_t acc_f acc_u && eq_t ds du
-        && Array.for_all (fun ok -> ok)
-             (Array.mapi (fun i v -> eq_t v (V.get y1 i)) (V.to_array y2)))
 
   let cases name =
     [ Alcotest.test_case (name ^ " ops bitwise") `Quick test_ops;
@@ -423,11 +330,10 @@ module CheckB (N : INSTANCE) = struct
       Alcotest.test_case (name ^ " runtime bitwise") `Quick test_runtime;
       Alcotest.test_case (name ^ " transpose") `Quick test_transpose;
       Alcotest.test_case (name ^ " outputs nonoverlapping") `Quick test_nonoverlap;
-      Alcotest.test_case (name ^ " fused kernels bitwise") `Quick test_fused;
+      Alcotest.test_case (name ^ " fused kernels bitwise") `Quick test_folds;
       Alcotest.test_case (name ^ " IR oracle") `Quick test_ir_oracle;
       QCheck_alcotest.to_alcotest qcheck_dot;
-      QCheck_alcotest.to_alcotest qcheck_axpy;
-      QCheck_alcotest.to_alcotest qcheck_fused ]
+      QCheck_alcotest.to_alcotest qcheck_axpy ]
 end
 
 module C2 = CheckB (struct

@@ -29,9 +29,6 @@ let test_bench_sched () =
 let test_bench_serve () =
   validate_file "BENCH_serve.json" Obs.Schemas.bench_serve (artifact "BENCH_serve.json")
 
-let test_bench_fuse () =
-  validate_file "BENCH_fuse.json" Obs.Schemas.bench_fuse (artifact "BENCH_fuse.json")
-
 (* The committed verification certificate: schema-valid and actually a
    passing certificate (worker-count-independent by construction, so
    no environment dependence beyond libm's log2 — validated
@@ -231,7 +228,6 @@ let () =
         [ Alcotest.test_case "BENCH_fig9/10/11.json" `Quick test_bench_figs;
           Alcotest.test_case "BENCH_sched.json" `Quick test_bench_sched;
           Alcotest.test_case "BENCH_serve.json" `Quick test_bench_serve;
-          Alcotest.test_case "BENCH_fuse.json" `Quick test_bench_fuse;
           Alcotest.test_case "VERIFY_core.json" `Quick test_verify_certificate;
           Alcotest.test_case "CHAOS_report.json" `Quick test_chaos_report;
           Alcotest.test_case "TRACE_gemm(_chrome).json" `Quick test_trace_artifacts;

@@ -306,7 +306,7 @@ let requests_for_op ~tier ~op ~first_id =
             ~x:(Array.sub (Array.map fst ops) 0 8)
             ~y:[| snd ops.(1) |] () ]
     | P.Program ->
-        (* one request per fused chain, over the same corpus operands *)
+        (* one request per program chain, over the same corpus operands *)
         let xs = Array.map fst ops and ys = Array.map snd ops in
         [ mk_req ~id:first_id ~op ~tier ~prog:[ "sum" ] ~x:xs ~y:[||] ();
           mk_req ~id:(first_id + 1) ~op ~tier ~prog:[ "mul"; "sum" ] ~x:xs ~y:ys ();

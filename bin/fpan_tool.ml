@@ -693,11 +693,13 @@ let serve_cmd =
     Arg.(value & opt int 32 & info [ "max-batch" ] ~docv:"N" ~doc:"Micro-batch size cap.")
   in
   let window_arg =
-    Arg.(value & opt float 200.
+    Arg.(value & opt float 0.
          & info [ "window-us" ] ~docv:"US"
              ~doc:
-               "Batching window in microseconds (0 = no wait for stragglers; \
-                --max-batch 1 gives batch-size-1 serving).")
+               "Batching window in microseconds: how long a batcher cycle waits after its \
+                first request for stragglers.  0 (the default) takes every request already \
+                queued, up to --max-batch, without waiting; replies still coalesce into one \
+                write per connection per cycle.  --max-batch 1 gives batch-size-1 serving.")
   in
   let shards_arg =
     Arg.(value & opt int 0
@@ -2017,26 +2019,28 @@ let adaptive_cmd =
    fpan-verify/1 certificate.  Exit 1 on any violation, 2 if the
    verifier's own mutant self-test fails. *)
 
+(* A target's sweep width: its tuned default, capped by --sweep-width
+   (a cap never widens a sweep: add3 at width 4 is 38x the tuples of
+   its default 3). *)
+let sweep_width ?cap default = match cap with None -> default | Some w -> min default w
+
 let verify_net_spec ?width name =
+  let w = sweep_width ?cap:width in
   let spec =
     match name with
-    | "add2" -> Some (Verify.Sweep.add_network ?width ~window:1 ~gap:2 Fpan.Networks.add2 ~terms:2)
+    | "add2" ->
+        Some (Verify.Sweep.add_network ~width:(w 5) ~window:1 ~gap:2 Fpan.Networks.add2 ~terms:2)
     | "add3" ->
-        Some
-          (Verify.Sweep.add_network ~width:(Option.value width ~default:3) ~window:1 ~gap:2
-             Fpan.Networks.add3 ~terms:3)
+        Some (Verify.Sweep.add_network ~width:(w 3) ~window:1 ~gap:2 Fpan.Networks.add3 ~terms:3)
     | "add4" ->
-        Some
-          (Verify.Sweep.add_network ~width:(Option.value width ~default:3) ~window:1 ~gap:1
-             Fpan.Networks.add4 ~terms:4)
-    | "mul2" -> Some (Verify.Sweep.mul_network ?width ~window:1 ~gap:2 Fpan.Networks.mul2 ~terms:2)
+        Some (Verify.Sweep.add_network ~width:(w 3) ~window:1 ~gap:1 Fpan.Networks.add4 ~terms:4)
+    | "mul2" ->
+        Some (Verify.Sweep.mul_network ~width:(w 5) ~window:1 ~gap:2 Fpan.Networks.mul2 ~terms:2)
     | "mul3" ->
-        Some
-          (Verify.Sweep.mul_network ~width:(Option.value width ~default:3) ~window:1 ~gap:1
-             Fpan.Networks.mul3 ~terms:3)
+        Some (Verify.Sweep.mul_network ~width:(w 3) ~window:1 ~gap:1 Fpan.Networks.mul3 ~terms:3)
     | "sloppy-add2" ->
         let s = Verify.Mutants.mutant_spec () in
-        Some (match width with None -> s | Some w -> { s with Verify.Sweep.width = w })
+        Some { s with Verify.Sweep.width = w s.Verify.Sweep.width }
     | _ -> None
   in
   match spec with
@@ -2058,7 +2062,7 @@ let verify_chain_spec ?width name =
     | None -> (name, 2)
   in
   let default_width = match chain with "dot_step" | "mul" -> 3 | _ -> 4 in
-  try Verify.Sweep.chain ~width:(Option.value width ~default:default_width) ~window:1 ~gap:2 chain ~terms
+  try Verify.Sweep.chain ~width:(sweep_width ?cap:width default_width) ~window:1 ~gap:2 chain ~terms
   with Invalid_argument msg ->
     prerr_endline msg;
     exit 2
@@ -2177,9 +2181,10 @@ let verify_cmd =
   let sweep_width_arg =
     Arg.(value & opt (some int) None
          & info [ "sweep-width" ] ~docv:"BITS"
-             ~doc:"Override every network/chain sweep width (defaults are tuned per target; the \
-                   footprint guard rejects combinations whose double checks would stop being \
-                   exact).")
+             ~doc:"Cap every network/chain sweep width: each target sweeps at min(its default, \
+                   BITS).  Defaults are tuned per target (add2 and mul2 5; add3, add4, mul3 and \
+                   the dot_step and mul chains 3; other chains 4; sloppy-add2 4), so a cap only \
+                   ever narrows a sweep.")
   in
   let workers_arg =
     Arg.(value & opt int (Domain.recommended_domain_count ())

@@ -1,10 +1,12 @@
 (* Bounded MPSC queue with a self-pipe doorbell and priority
    displacement.  Producers ring the pipe when a push makes the queue
    non-empty; the consumer polls it, which is the only way to get a
-   timed wait (Condition has no timed variant).  The pipe is a
-   doorbell, not a counter: both ends are non-blocking, a full pipe on
-   the producer side is fine (the bell is already ringing), and the
-   consumer drains whatever bytes are there before re-checking.
+   timed wait (Condition has no timed variant), with a nanosecond
+   timeout so that a sub-millisecond window is not rounded up to
+   poll(2)'s milliseconds.  The pipe is a doorbell, not a counter: both
+   ends are non-blocking, a full pipe on the producer side is fine (the
+   bell is already ringing), and the consumer drains whatever bytes are
+   there before re-checking.
 
    Ringing only on the empty->nonempty transition keeps the bell
    syscall off the steady-state push path: the consumer only ever
@@ -187,11 +189,9 @@ let take_now t room =
   Mutex.unlock t.lock;
   (List.rev !out, closed)
 
-let wait_readable t timeout_s =
-  let timeout_ms =
-    if timeout_s < 0.0 then -1 else int_of_float (Float.ceil (timeout_s *. 1e3))
-  in
-  if Readiness.wait_readable t.bell_r ~timeout_ms then drain_bell t
+(* [timeout_ns < 0] waits forever *)
+let wait_bell t timeout_ns =
+  if Readiness.wait_readable_ns t.bell_r ~timeout_ns then drain_bell t
 
 let pop_batch t ~max ~window_ns =
   let max = if max < 1 then 1 else max in
@@ -202,7 +202,7 @@ let pop_batch t ~max ~window_ns =
       let rem_ns = deadline_ns -. Obs.Clock.now_ns () in
       if rem_ns <= 0.0 then List.concat (List.rev acc)
       else begin
-        wait_readable t (rem_ns *. 1e-9);
+        wait_bell t (int_of_float (Float.ceil rem_ns));
         let items, closed = take_now t (max - got) in
         let got = got + List.length items in
         let acc = if items = [] then acc else items :: acc in
@@ -217,7 +217,7 @@ let pop_batch t ~max ~window_ns =
     | [] ->
         if closed then []
         else begin
-          wait_readable t (-1.0);
+          wait_bell t (-1);
           first ()
         end
     | _ ->

@@ -9,8 +9,11 @@
     The consumer side supports a timed window wait — OCaml's
     [Condition] has no timed variant, so the queue carries a self-pipe
     doorbell: a push onto an empty queue rings it and [pop_batch]
-    waits on it through {!Readiness}, which gives both the blocking
-    wait-for-first-item and the bounded wait-to-fill-the-batch. *)
+    waits on it through {!Readiness.wait_readable_ns}, which gives
+    both the blocking wait-for-first-item and the bounded
+    wait-to-fill-the-batch, to the nanosecond where the platform has
+    ppoll(2) (poll(2)'s whole milliseconds would stretch a 200 us
+    window to 1 ms). *)
 
 type 'a t
 
@@ -32,9 +35,9 @@ val pop_batch : 'a t -> max:int -> window_ns:int64 -> 'a list
 (** Block until at least one item is available (or the queue is closed
     and drained — then [[]]).  After the first item, keep popping up to
     [max] items, waiting at most [window_ns] measured from the first
-    pop for stragglers.  [max = 1] degenerates to batch-size-1 serving;
-    [window_ns = 0L] returns every item already queued, up to [max],
-    without waiting. *)
+    pop for stragglers (and returning as soon as [max] are in hand).
+    [max = 1] degenerates to batch-size-1 serving; [window_ns = 0L]
+    returns every item already queued, up to [max], without waiting. *)
 
 val close : 'a t -> unit
 (** Producers get [`Closed] from now on; the consumer drains what was

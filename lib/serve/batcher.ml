@@ -4,9 +4,10 @@
    One evaluator: every request, batched or not, is evaluated by
    [eval_fixed], the scalar kernels in index order, so a served
    response is the scalar path's by construction whatever the batch.
-   A group fans its requests out over the scheduler with
-   [parallel_for]; the grouping decides the reply's [batch] field and
-   the SLA cohorts, not the arithmetic.
+   A group with two or more vector requests fans them out over the
+   scheduler with [parallel_for]; every other group is evaluated on
+   the batcher domain.  The grouping decides the reply's [batch] field
+   and the SLA cohorts, not the arithmetic.
 
    SLA cohorts: requests carrying an accuracy SLA group by (op,
    starting tier).  The ladder itself is Adaptive.Escalate's: each
@@ -108,15 +109,29 @@ let eval_one (r : P.request) =
   | _, None -> (
       try Ok (eval_fixed r) with e -> Error (Printexc.to_string e))
 
-(* One micro-batch -> one result per request, each request evaluated
-   by [eval_fixed] on its own. *)
-let eval_batch sched (reqs : P.request array) =
-  let out = Array.make (Array.length reqs) [||] in
-  Runtime.Sched.parallel_for sched ~lo:0 ~hi:(Array.length reqs) (fun lo hi ->
-      for i = lo to hi - 1 do
-        out.(i) <- eval_fixed reqs.(i)
-      done);
-  out
+(* A group fans out over the scheduler only when at least two of its
+   requests carry a multi-element operand.  Any other group runs on
+   the batcher domain: a scalar evaluation takes about a microsecond,
+   less than waking a worker to steal it, and a lone vector request
+   has nothing to split.  Either way each request is [eval_fixed] on
+   its own, so the domain changes and the bits do not; a raise fails
+   the group with the first raising request's exception. *)
+let fans_out (reqs : P.request array) =
+  let multi (r : P.request) =
+    Array.length r.P.x > 1 || Array.length r.P.y > 1 || Array.length r.P.z > 1
+  in
+  Array.fold_left (fun k r -> if multi r then k + 1 else k) 0 reqs >= 2
+
+let eval_group sched (reqs : P.request array) =
+  if not (fans_out reqs) then Array.map eval_fixed reqs
+  else begin
+    let out = Array.make (Array.length reqs) [||] in
+    Runtime.Sched.parallel_for sched ~lo:0 ~hi:(Array.length reqs) (fun lo hi ->
+        for i = lo to hi - 1 do
+          out.(i) <- eval_fixed reqs.(i)
+        done);
+    out
+  end
 
 (* --- the batcher domain --------------------------------------------- *)
 
@@ -198,9 +213,7 @@ let count_shed t req = M.incr t.shed_ctrs.(shed_bucket req)
    to its response instantly still sees itself in the stats *)
 let run_fixed_group t (arr : entry array) =
   let n = Array.length arr in
-  match
-    Runtime.Sched.run t.sched (fun () -> eval_batch t.sched (Array.map (fun e -> e.req) arr))
-  with
+  match eval_group t.sched (Array.map (fun e -> e.req) arr) with
   | results ->
       M.add t.completed_ctr n;
       count_batch t n;
@@ -220,7 +233,7 @@ let run_fixed_group t (arr : entry array) =
       Array.iter (fun en -> en.reply (P.Failed { id = en.req.P.id; error = msg })) arr
 
 (* One SLA cohort in three steps: plan every element, evaluate each
-   rung's planned elements as one group through [eval_batch], settle
+   rung's planned elements as one group through [eval_group], settle
    each element.  If evaluating or settling raises, every element not
    yet settled fails with the exception's text. *)
 let run_sla_group t (arr : entry array) =
@@ -243,7 +256,7 @@ let run_sla_group t (arr : entry array) =
        let idxs = Array.of_list (List.filter (fun i -> rung i = terms) (List.init n Fun.id)) in
        if idxs <> [||] then begin
          let padded = Array.map (fun i -> pad_request ~terms arr.(i).req) idxs in
-         let res = Runtime.Sched.run t.sched (fun () -> eval_batch t.sched padded) in
+         let res = eval_group t.sched padded in
          Array.iteri
            (fun k i ->
              settled.(i) <- Some (A.Escalate.settle (Result.get_ok plans.(i)) res.(k)))

@@ -4,9 +4,14 @@
     A dedicated domain pops up to [max_batch] requests per cycle
     (waiting at most [window_ns] after the first to let the batch
     fill), sheds the ones whose deadline already passed, groups the
-    rest by (op, tier, sla?), and evaluates each group's requests with
-    [parallel_for] on the shared {!Runtime.Sched}.  Results scatter
-    back through each request's reply callback.
+    rest by (op, tier, sla?), and evaluates each group.  A group fans
+    its requests out with [parallel_for] on the shared
+    {!Runtime.Sched} only when at least two of them carry a
+    multi-element operand; every other group (every group of scalar
+    requests, a lone vector request) is evaluated on the batcher
+    domain itself, since a scalar evaluation costs less than waking a
+    worker to steal it.  Results scatter back through each request's
+    reply callback.
 
     There is one evaluator: every request is evaluated on its own by
     the scalar path ({!eval_one}), whatever group it lands in, so a
@@ -17,16 +22,17 @@
     SLA requests form cohorts per (op, starting tier), served by
     {!Adaptive.Escalate}'s ladder in three steps: every element is
     planned ({!Adaptive.Escalate.plan} picks its rung from the operands
-    alone), each rung's planned elements are evaluated as one group,
-    and every element is settled against its own budget
+    alone), each rung's planned elements are evaluated as one group
+    (under the same fan-out rule), and every element is settled
+    against its own budget
     ({!Adaptive.Escalate.settle}: static bound, mf4's ball
     certificate, or the bigfloat fallback).  If evaluating or settling
     raises, the elements not yet settled are answered [Failed].
 
     [max_batch = 1] gives batch-size-1 serving, the baseline the load
-    generator compares against.  [window_ns = 0L] does not: a cycle
-    then takes every entry already queued, up to [max_batch], without
-    waiting for more. *)
+    generator compares against.  [window_ns = 0L] (the server's
+    default) does not: a cycle then takes every entry already queued,
+    up to [max_batch], without waiting for more. *)
 
 type entry = {
   req : Protocol.request;

@@ -1,7 +1,10 @@
-(* Bounded LRU: Hashtbl + intrusive doubly-linked list, O(1) find /
+(* Bounded LRU: Hashtbl + intrusive doubly-linked ring, O(1) find /
    add / evict, one mutex (contention is two tiny critical sections
    per request; the io domain and the batcher's reply path are the
-   only writers). *)
+   only writers).  The ring closes on a sentinel node, so links are
+   plain fields: moving a node to the front allocates nothing, where
+   [node option] links allocated a [Some] cell per hit and per insert
+   and stored it into long-lived nodes, which promoted it. *)
 
 module P = Protocol
 
@@ -17,16 +20,15 @@ type value = {
 type node = {
   key : string;
   mutable value : value;
-  mutable prev : node option;  (* toward MRU *)
-  mutable next : node option;  (* toward LRU *)
+  mutable prev : node;  (* toward MRU; the sentinel's is the LRU node *)
+  mutable next : node;  (* toward LRU; the sentinel's is the MRU node *)
 }
 
 type t = {
   cap : int;
   lock : Mutex.t;
   tbl : (string, node) Hashtbl.t;
-  mutable mru : node option;
-  mutable lru : node option;
+  ring : node;  (* sentinel: linked to itself when empty *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -44,12 +46,14 @@ type stats = {
 }
 
 let create ~capacity =
+  let rec ring =
+    { key = ""; value = { result = [||]; chosen = None; bound = None }; prev = ring; next = ring }
+  in
   {
     cap = capacity;
     lock = Mutex.create ();
     tbl = Hashtbl.create (max 16 capacity);
-    mru = None;
-    lru = None;
+    ring;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -62,17 +66,15 @@ let capacity t = t.cap
 
 (* --- list surgery (lock held) --------------------------------------- *)
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.mru <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.lru <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let push_mru t n =
-  n.next <- t.mru;
-  n.prev <- None;
-  (match t.mru with Some m -> m.prev <- Some n | None -> t.lru <- Some n);
-  t.mru <- Some n
+  n.prev <- t.ring;
+  n.next <- t.ring.next;
+  t.ring.next.prev <- n;
+  t.ring.next <- n
 
 (* --- keying --------------------------------------------------------- *)
 
@@ -156,7 +158,7 @@ let find ?(kind = "other") t key =
     let r =
       match Hashtbl.find_opt t.tbl key with
       | Some n ->
-          unlink t n;
+          unlink n;
           push_mru t n;
           t.hits <- t.hits + 1;
           incr kh;
@@ -177,17 +179,16 @@ let add t key value =
     | Some n ->
         (* racing misses on the same key both insert; keep one node *)
         n.value <- value;
-        unlink t n;
+        unlink n;
         push_mru t n
     | None ->
-        if Hashtbl.length t.tbl >= t.cap then (
-          match t.lru with
-          | Some victim ->
-              unlink t victim;
-              Hashtbl.remove t.tbl victim.key;
-              t.evictions <- t.evictions + 1
-          | None -> ());
-        let n = { key; value; prev = None; next = None } in
+        let victim = t.ring.prev in
+        if Hashtbl.length t.tbl >= t.cap && victim != t.ring then begin
+          unlink victim;
+          Hashtbl.remove t.tbl victim.key;
+          t.evictions <- t.evictions + 1
+        end;
+        let n = { key; value; prev = t.ring; next = t.ring } in
         Hashtbl.replace t.tbl key n;
         push_mru t n);
     Mutex.unlock t.lock
@@ -210,10 +211,7 @@ let stats t =
 
 let fold_lru f t init =
   Mutex.lock t.lock;
-  let rec go acc = function
-    | None -> acc
-    | Some n -> go (f n.key acc) n.prev
-  in
-  let r = go init t.lru in
+  let rec go acc n = if n == t.ring then acc else go (f n.key acc) n.prev in
+  let r = go init t.ring.prev in
   Mutex.unlock t.lock;
   r

@@ -13,10 +13,12 @@
     since ["%h"] collapses every payload to ["nan"].
 
     The frame shapes are declared in {!Obs.Schemas.serve_request} /
-    {!Obs.Schemas.serve_response}; [request_of_json] validates inbound
-    documents against the declared schema before decoding, so a frame
-    with unknown keys, wrong types, or duplicate keys (rejected by the
-    parser itself) never reaches the execution path. *)
+    {!Obs.Schemas.serve_response}.  Requests are decoded in one pass
+    from the payload bytes ({!request_of_frame}), which enforces that
+    schema and {!Obs.Json_out.parse}'s grammar as it goes, so a frame
+    with unknown keys, wrong types, duplicate keys or trailing garbage
+    never reaches the execution path.  Result replies are written
+    straight into a connection's output ({!write_response}). *)
 
 type tier = Mf2 | Mf3 | Mf4
 
@@ -104,18 +106,50 @@ val response_id : response -> int
 
 val float_to_wire : float -> string
 (** The exact hex-float transport encoding of one component
-    (["0x1.8p+1"], ["nan:7ff8000000000001"], ["-0x0p+0"], ...).  One
-    string per double bit pattern, so distinct NaN payloads and [0.0]
-    vs [-0.0] never collapse. *)
+    (["0x1.8p+1"], ["nan:7ff8000000000001"], ["-0x0p+0"], ...): the
+    text of [Printf "%h"] for every non-NaN double, and ["nan:"] with
+    the bit pattern in hex for a NaN.  One string per double bit
+    pattern, so distinct NaN payloads and [0.0] vs [-0.0] never
+    collapse. *)
 
 val float_of_wire : string -> float option
+(** Inverse of {!float_to_wire}; also accepts every other spelling
+    [float_of_string] takes. *)
 
-(** {1 JSON encoding} *)
+(** {1 Requests} *)
+
+val request_of_frame : string -> (request, int * string) result
+(** Decode one frame payload in a single pass.  Accepts any key order
+    and any JSON whitespace; rejects what {!Obs.Json_out.parse} rejects
+    (the text is then ["bad json: ..."] with id 0), a schema violation
+    (the text names its path, ["$: ..."] or [".x[0][1]: ..."]), and a
+    request the protocol cannot serve (unknown op or tier, arity,
+    lengths, component counts, {!Adaptive.Sla.check}).  [Error (id,
+    text)] carries the frame's integer id when it has one, else 0, so
+    the rejection can echo it.  Canonical hex components are parsed in
+    place; any other spelling goes through {!float_of_wire}. *)
 
 val request_to_json : request -> Obs.Json_out.t
+
 val request_of_json : Obs.Json_out.t -> (request, string) result
+(** {!request_of_frame} on the document's compact rendering. *)
+
+(** {1 Responses} *)
+
 val response_to_json : response -> Obs.Json_out.t
 val response_of_json : Obs.Json_out.t -> (response, string) result
+
+type sink = { mutable bytes : Bytes.t; mutable len : int }
+(** Growable output buffer: [bytes] holds [len] bytes of complete
+    frames. *)
+
+val sink : unit -> sink
+
+val write_response : sink -> response -> unit
+(** Append one reply frame, byte for byte
+    [frame_of_string (to_string_compact (response_to_json r))].  A
+    [Result] is written in place: no JSON tree, no string per
+    component. *)
 
 (** {1 Framing} *)
 

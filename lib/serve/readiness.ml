@@ -5,8 +5,12 @@
    returns.  Slots are kept dense by swap-removal; a Hashtbl maps
    fd -> slot. *)
 
+(* the timeout is in nanoseconds (ppoll where the platform has it),
+   negative = forever *)
 external poll_stub :
   int array -> int array -> int array -> int -> int -> int = "caml_fpan_poll"
+
+let ns_of_ms ms = if ms < 0 then -1 else ms * 1_000_000
 
 external poll_bits : unit -> int * int * int * int * int * int = "caml_fpan_poll_bits"
 
@@ -106,7 +110,7 @@ let wait p ~timeout_ms =
   match Chaos.Injector.wait_fault () with
   | Chaos.Fault.Spurious_wake | Chaos.Fault.Eintr -> []
   | _ -> (
-      match poll_stub p.fds p.events p.revents p.n timeout_ms with
+      match poll_stub p.fds p.events p.revents p.n (ns_of_ms timeout_ms) with
       | 0 -> []
       | _ ->
           let out = ref [] in
@@ -121,22 +125,26 @@ let wait p ~timeout_ms =
 
 let one_fds = [| -1 |]
 
-let poll1 fd ~read ~write ~timeout_ms =
+let poll1_ns fd ~read ~write ~timeout_ns =
   (* tiny fresh arrays per call: poll1 sits on slow paths (write
      stalls, doorbell waits), never in the per-event hot loop *)
   let fds = Array.copy one_fds in
   fds.(0) <- int_of_fd fd;
   let events = [| interest ~read ~write |] in
   let revents = [| 0 |] in
-  match poll_stub fds events revents 1 timeout_ms with
+  match poll_stub fds events revents 1 timeout_ns with
   | 0 -> None
   | _ -> Some (event_of_mask fd revents.(0))
   | exception Unix.Unix_error (EINTR, _, _) -> None
 
-let wait_readable fd ~timeout_ms =
-  match poll1 fd ~read:true ~write:false ~timeout_ms with
+let poll1 fd ~read ~write ~timeout_ms = poll1_ns fd ~read ~write ~timeout_ns:(ns_of_ms timeout_ms)
+
+let wait_readable_ns fd ~timeout_ns =
+  match poll1_ns fd ~read:true ~write:false ~timeout_ns with
   | Some e -> e.readable || e.hangup || e.error
   | None -> false
+
+let wait_readable fd ~timeout_ms = wait_readable_ns fd ~timeout_ns:(ns_of_ms timeout_ms)
 
 let wait_writable fd ~timeout_ms =
   match poll1 fd ~read:false ~write:true ~timeout_ms with

@@ -52,3 +52,8 @@ val poll1 : Unix.file_descr -> read:bool -> write:bool -> timeout_ms:int -> even
 
 val wait_readable : Unix.file_descr -> timeout_ms:int -> bool
 val wait_writable : Unix.file_descr -> timeout_ms:int -> bool
+
+val wait_readable_ns : Unix.file_descr -> timeout_ns:int -> bool
+(** {!wait_readable} with a nanosecond timeout ([< 0] waits forever):
+    ppoll(2) where the platform has it, so a sub-millisecond wait
+    lasts its own length rather than poll(2)'s whole milliseconds. *)

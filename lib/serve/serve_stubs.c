@@ -10,6 +10,11 @@
  * Unix.file_descr values cross the boundary as Int_val/Val_int.
  */
 
+/* ppoll(2) is a GNU extension in glibc's <poll.h> */
+#if defined(__linux__) && !defined(_GNU_SOURCE)
+#define _GNU_SOURCE
+#endif
+
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <caml/memory.h>
@@ -19,30 +24,41 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <limits.h>
 #include <poll.h>
+#include <time.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
-/* caml_fpan_poll fds events revents nfds timeout_ms
+#if defined(__linux__) || defined(__FreeBSD__) || defined(__NetBSD__) || \
+    defined(__OpenBSD__) || defined(__DragonFly__)
+#define HAVE_PPOLL 1
+#endif
+
+/* caml_fpan_poll fds events revents nfds timeout_ns
  *
  * fds.(i) / events.(i) describe slot i (events is the POLLIN/POLLOUT
  * bit mask); on return revents.(i) holds the kernel's revents mask.
  * Returns the number of ready slots.  The runtime lock is released
  * around the poll so the batcher and scheduler domains keep running
- * while the io domain sleeps.
+ * while the io domain sleeps.  The timeout is in nanoseconds
+ * (negative: wait forever): poll(2) counts whole milliseconds, so a
+ * 200 us batching window would sleep a full millisecond; ppoll(2)
+ * takes a timespec and is used where the platform has it, poll(2)
+ * with the timeout rounded up elsewhere.
  */
 CAMLprim value caml_fpan_poll(value v_fds, value v_events, value v_revents,
-                              value v_nfds, value v_timeout_ms)
+                              value v_nfds, value v_timeout_ns)
 {
-  CAMLparam5(v_fds, v_events, v_revents, v_nfds, v_timeout_ms);
+  CAMLparam5(v_fds, v_events, v_revents, v_nfds, v_timeout_ns);
   int nfds = Int_val(v_nfds);
-  int timeout = Int_val(v_timeout_ms);
+  intnat ns = Long_val(v_timeout_ns);
   struct pollfd stack_pfds[128];
   struct pollfd *pfds = stack_pfds;
-  int i, ret;
+  int i, ret, err;
 
   if (nfds < 0 || nfds > Wosize_val(v_fds) || nfds > Wosize_val(v_events) ||
       nfds > Wosize_val(v_revents))
@@ -59,13 +75,27 @@ CAMLprim value caml_fpan_poll(value v_fds, value v_events, value v_revents,
   }
 
   caml_release_runtime_system();
-  ret = poll(pfds, (nfds_t)nfds, timeout);
+#ifdef HAVE_PPOLL
+  if (ns < 0) {
+    ret = ppoll(pfds, (nfds_t)nfds, NULL, NULL);
+  } else {
+    struct timespec ts;
+    ts.tv_sec = (time_t)(ns / 1000000000);
+    ts.tv_nsec = (long)(ns % 1000000000);
+    ret = ppoll(pfds, (nfds_t)nfds, &ts, NULL);
+  }
+#else
+  {
+    intnat ms = ns < 0 ? -1 : (ns + 999999) / 1000000;
+    ret = poll(pfds, (nfds_t)nfds, ms > INT_MAX ? INT_MAX : (int)ms);
+  }
+#endif
+  err = errno;
   caml_acquire_runtime_system();
 
   if (ret < 0) {
-    int err = errno;
     if (pfds != stack_pfds) free(pfds);
-    uerror("poll", Nothing); (void)err;
+    unix_error(err, "poll", Nothing);
   }
   for (i = 0; i < nfds; i++)
     Field(v_revents, i) = Val_int(pfds[i].revents);

@@ -31,7 +31,7 @@ type conn = {
   fd : Unix.file_descr;
   defr : P.deframer;
   wlock : Mutex.t;
-  out : Buffer.t;  (* pending reply bytes; guarded by wlock *)
+  out : P.sink;  (* pending reply frames; guarded by wlock *)
   mutable dirty : bool;  (* on the server's pending list; guarded by pending_lock *)
   mutable alive : bool;  (* writers may still buffer/flush; guarded by wlock *)
   mutable closed : bool;  (* fd released, exactly once; guarded by wlock *)
@@ -93,22 +93,21 @@ let ring t =
    EAGAIN take the same recovery paths a real kernel would force, and
    a stall is a bounded sleep before the write.  Disarmed, this is a
    single atomic branch. *)
-let chaos_write fd s k n =
+let chaos_write fd b k n =
   match Chaos.Injector.write_fault () with
-  | Chaos.Fault.Pass -> Unix.write_substring fd s k n
-  | Chaos.Fault.Short_write cap -> Unix.write_substring fd s k (min n (max 1 cap))
+  | Chaos.Fault.Pass -> Unix.write fd b k n
+  | Chaos.Fault.Short_write cap -> Unix.write fd b k (min n (max 1 cap))
   | Chaos.Fault.Eintr -> raise (Unix.Unix_error (Unix.EINTR, "chaos-write", ""))
   | Chaos.Fault.Eagain -> raise (Unix.Unix_error (Unix.EAGAIN, "chaos-write", ""))
   | Chaos.Fault.Stall_us us ->
       Unix.sleepf (float_of_int us *. 1e-6);
-      Unix.write_substring fd s k n
-  | _ -> Unix.write_substring fd s k n
+      Unix.write fd b k n
+  | _ -> Unix.write fd b k n
 
-let write_all fd s =
-  let n = String.length s in
+let write_all fd b n =
   let k = ref 0 in
   while !k < n do
-    match chaos_write fd s !k (n - !k) with
+    match chaos_write fd b !k (n - !k) with
     | w -> k := !k + w
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
         if not (Readiness.wait_writable fd ~timeout_ms:5000) then
@@ -120,10 +119,10 @@ let write_all fd s =
    buffered output); the fd itself is closed by the io domain, so
    closes happen on one domain and never race the readiness set. *)
 let flush_locked conn =
-  if conn.alive && Buffer.length conn.out > 0 then begin
-    let s = Buffer.contents conn.out in
-    Buffer.clear conn.out;
-    try write_all conn.fd s with _ -> conn.alive <- false
+  if conn.alive && conn.out.P.len > 0 then begin
+    let n = conn.out.P.len in
+    conn.out.P.len <- 0;
+    try write_all conn.fd conn.out.P.bytes n with _ -> conn.alive <- false
   end
 
 (* A writer off the io domain noticed the conn died: queue it for the
@@ -140,7 +139,7 @@ let send t conn resp =
   Mutex.lock conn.wlock;
   let died =
     if conn.alive then begin
-      Buffer.add_string conn.out (P.frame_of_string (J.to_string_compact (P.response_to_json resp)));
+      P.write_response conn.out resp;
       flush_locked conn;
       not conn.alive
     end
@@ -155,8 +154,7 @@ let send t conn resp =
 let enqueue t conn resp =
   Mutex.lock conn.wlock;
   let alive = conn.alive in
-  if alive then
-    Buffer.add_string conn.out (P.frame_of_string (J.to_string_compact (P.response_to_json resp)));
+  if alive then P.write_response conn.out resp;
   Mutex.unlock conn.wlock;
   if alive then begin
     Mutex.lock t.pending_lock;
@@ -192,7 +190,7 @@ let flush_pending t =
 let close_conn conn =
   Mutex.lock conn.wlock;
   conn.alive <- false;
-  Buffer.clear conn.out;
+  conn.out.P.len <- 0;
   if not conn.closed then begin
     conn.closed <- true;
     try Unix.close conn.fd with _ -> ()
@@ -267,11 +265,6 @@ let stats_doc t =
 
 (* --- request path (io domain) --------------------------------------- *)
 
-let best_effort_id doc =
-  match Option.bind (J.member "id" doc) J.to_num with
-  | Some f when Float.is_integer f -> int_of_float f
-  | _ -> 0
-
 let admit t conn (req : P.request) cache_key =
   let reply =
     match cache_key with
@@ -311,30 +304,22 @@ let admit t conn (req : P.request) cache_key =
 let handle_frame t conn payload =
   let tr = Obs.Trace.enabled () in
   if tr then Obs.Trace.begin_span Obs.Trace.Io "serve.request";
-  (match J.parse payload with
-  | Error e ->
+  (match P.request_of_frame payload with
+  | Error (id, error) ->
       M.incr t.decode_errors;
-      send t conn (P.Failed { id = 0; error = "bad json: " ^ e })
-  | Ok doc -> (
-      match P.request_of_json doc with
-      | Error e ->
-          M.incr t.decode_errors;
-          send t conn (P.Failed { id = best_effort_id doc; error = e })
-      | Ok req when req.P.op = P.Stats ->
-          send t conn (P.Stats_reply { id = req.P.id; stats = stats_doc t })
-      | Ok req -> (
-          (* hot path: repeated scalar operands answer straight from
-             the LRU on the io domain, skipping queue and batcher *)
-          match
-            if Cache.capacity t.cache >= 1 then Cache.key_of_request req else None
-          with
-          | Some key as cache_key -> (
-              match Cache.find ~kind:(Cache.kind_of_request req) t.cache key with
-              | Some { Cache.result; chosen; bound } ->
-                  send t conn
-                    (P.Result { id = req.P.id; result; batch = 1; chosen; bound })
-              | None -> admit t conn req cache_key)
-          | None -> admit t conn req None)));
+      send t conn (P.Failed { id; error })
+  | Ok req when req.P.op = P.Stats ->
+      send t conn (P.Stats_reply { id = req.P.id; stats = stats_doc t })
+  | Ok req -> (
+      (* hot path: repeated scalar operands answer straight from the
+         LRU on the io domain, skipping queue and batcher *)
+      match if Cache.capacity t.cache >= 1 then Cache.key_of_request req else None with
+      | Some key as cache_key -> (
+          match Cache.find ~kind:(Cache.kind_of_request req) t.cache key with
+          | Some { Cache.result; chosen; bound } ->
+              send t conn (P.Result { id = req.P.id; result; batch = 1; chosen; bound })
+          | None -> admit t conn req cache_key)
+      | None -> admit t conn req None));
   if tr then Obs.Trace.end_span ()
 
 (* --- connection lifecycle (io domain) -------------------------------- *)
@@ -343,7 +328,7 @@ let install_conn t rd fd =
   Unix.set_nonblock fd;
   let conn =
     { fd; defr = P.deframer (); wlock = Mutex.create ();
-      out = Buffer.create 4096; dirty = false; alive = true; closed = false }
+      out = P.sink (); dirty = false; alive = true; closed = false }
   in
   Hashtbl.replace t.conns (fd_key fd) conn;
   Atomic.incr t.conn_count;
@@ -574,7 +559,7 @@ let stop t =
     Admission.destroy t.queue
   end
 
-let make ~sched ~source ?(queue_capacity = 64) ?(max_batch = 32) ?(window_us = 200.)
+let make ~sched ~source ?(queue_capacity = 64) ?(max_batch = 32) ?(window_us = 0.)
     ?(cache_capacity = 0) ?(max_conns = 16384) () =
   (* one abruptly-closed client must not SIGPIPE-kill the service *)
   P.ignore_sigpipe ();

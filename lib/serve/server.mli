@@ -3,12 +3,15 @@
 
     Two domains per server: an io domain running a {!Readiness} event
     loop (poll(2) by default — no FD_SETSIZE ceiling; accept,
-    incremental deframing, decode, cache lookup, admission, immediate
+    incremental deframing, single-pass decode
+    ({!Protocol.request_of_frame}), cache lookup, admission, immediate
     replies for sheds / errors / cache hits / [stats]), and a
-    {!Batcher} domain executing admitted requests on the caller's
-    {!Runtime.Sched}.  Connections are dispatched O(1) through a table
-    keyed by descriptor, so thousands of concurrent connections cost
-    only their live events.
+    {!Batcher} domain executing admitted requests, on itself or on the
+    caller's {!Runtime.Sched}.  Replies are written straight into each
+    connection's output buffer ({!Protocol.write_response}).
+    Connections are dispatched O(1) through a table keyed by
+    descriptor, so thousands of concurrent connections cost only their
+    live events.
 
     Overload is always explicit: a connection beyond [max_conns] is
     refused at accept; a request that does not fit the bounded
@@ -55,10 +58,13 @@ val start :
   unit ->
   t
 (** Bind, listen, and spawn the io and batcher domains.  Defaults:
-    [queue_capacity = 64], [max_batch = 32], [window_us = 200.],
+    [queue_capacity = 64], [max_batch = 32], [window_us = 0.],
     [cache_capacity = 0] (memoization off), [max_conns = 16384].
-    [max_batch = 1] serves batch-size-1; [window_us = 0.] only stops
-    the batcher waiting for stragglers. *)
+    With no window a batcher cycle takes every request already queued,
+    up to [max_batch], without waiting for more; replies still go out
+    in one write per connection per cycle.  A positive [window_us]
+    waits that long after a cycle's first request for stragglers.
+    [max_batch = 1] serves batch-size-1. *)
 
 val start_adopted :
   sched:Runtime.Sched.t ->

@@ -197,6 +197,127 @@ let test_deframer_large_frame () =
   done;
   Alcotest.(check (list string)) "large frame reassembles" payloads !got
 
+(* --- the single-pass decoder and the direct writer ------------------- *)
+
+(* Every corpus frame gets the verdict the tree-walking decoder gave it
+   (recorded in serve_decode_corpus.expected, see Serve_corpus): the
+   same request bits, the same rejection class and echoed id, the same
+   text for a semantic rejection.  Frames that parse as JSON also go
+   through the [request_of_json] adapter, which must agree. *)
+let test_decoder_corpus () =
+  let frames = Array.of_list (Serve_corpus.all ()) in
+  let expected =
+    let ic = open_in_bin "serve_decode_corpus.expected" in
+    let rec go acc =
+      match input_line ic with
+      | l -> go (l :: acc)
+      | exception End_of_file ->
+          close_in ic;
+          Array.of_list (List.rev acc)
+    in
+    go []
+  in
+  Alcotest.(check int) "one recorded verdict per frame" (Array.length frames)
+    (Array.length expected);
+  Array.iteri
+    (fun i f ->
+      let got = Serve_corpus.verdict (P.request_of_frame f) in
+      if got <> expected.(i) then
+        Alcotest.failf "frame %d %S: recorded %S, decoded %S" i f expected.(i) got;
+      match J.parse f with
+      | Error _ -> ()
+      | Ok doc ->
+          let adapted =
+            Serve_corpus.verdict (Result.map_error (fun e -> (0, e)) (P.request_of_json doc))
+          in
+          let same =
+            match (String.split_on_char ' ' got, String.split_on_char ' ' adapted) with
+            | "ok" :: d, "ok" :: d' -> d = d'
+            | k :: _, k' :: _ -> k = k' && k <> "ok"
+            | _ -> false
+          in
+          if not same then Alcotest.failf "frame %d %S: adapter %S, decoder %S" i f adapted got)
+    frames
+
+let printf_wire f =
+  if Float.is_nan f then Printf.sprintf "nan:%Lx" (Int64.bits_of_float f)
+  else Printf.sprintf "%h" f
+
+let tree_frame r = P.frame_of_string (J.to_string_compact (P.response_to_json r))
+
+let direct_frame r =
+  let s = P.sink () in
+  P.write_response s r;
+  Bytes.sub_string s.P.bytes 0 s.P.len
+
+(* The hex emitter is Printf "%h" over the specials and 2^20 random bit
+   patterns (a quarter of them zeros, subnormals, infinities and NaNs,
+   an eighth with short mantissas), and the direct writer is the tree
+   encoder byte for byte over replies carrying all of them, every id
+   and field shape, and frames appended back to back. *)
+let test_writer_bytes () =
+  let st = Random.State.make [| 0x7717 |] in
+  let pattern () =
+    let b = Random.State.bits64 st in
+    match Random.State.int st 8 with
+    | 0 -> Int64.logand b 0x800f_ffff_ffff_ffffL
+    | 1 -> Int64.logor b 0x7ff0_0000_0000_0000L
+    | 2 -> Int64.logand b 0xffff_f000_0000_0000L
+    | _ -> b
+  in
+  let floats =
+    Array.append specials
+      (Array.init (1 lsl 20) (fun _ -> Int64.float_of_bits (pattern ())))
+  in
+  Array.iter
+    (fun f ->
+      let want = printf_wire f in
+      let got = P.float_to_wire f in
+      if got <> want then
+        Alcotest.failf "float_to_wire %Lx: %S, Printf gives %S" (Int64.bits_of_float f) got want)
+    floats;
+  let ids =
+    [| 0; 1; -1; 42; 9007199254740991; -9007199254740991; 9007199254740992;
+       -9007199254740992; 1 lsl 60; max_int; min_int |]
+  in
+  let chosens = [| None; Some "mf2"; Some "bigfloat"; Some "odd \"q\"\n" |] in
+  let next = ref 0 in
+  let take () =
+    let f = floats.(!next mod Array.length floats) in
+    incr next;
+    f
+  in
+  let rec results k acc =
+    if !next >= Array.length floats then List.rev acc
+    else begin
+      let width = 1 + (k mod 4) in
+      let n = if k mod 97 = 0 then 0 else 1 + Random.State.int st 64 in
+      let result = Array.init n (fun _ -> Array.init width (fun _ -> take ())) in
+      let chosen = chosens.(k mod 4) in
+      let bound = if k mod 3 = 0 then None else Some (take ()) in
+      let id = ids.(k mod Array.length ids) in
+      results (k + 1) (P.Result { id; result; batch = 1 + (k mod 64); chosen; bound } :: acc)
+    end
+  in
+  let replies =
+    results 0 []
+    @ [ P.Result { id = 3; result = [| [||] |]; batch = 1; chosen = None; bound = None };
+        P.Shed { id = 4; reason = "queue_full" };
+        P.Failed { id = 5; error = "bad \"json\": \001" };
+        P.Stats_reply { id = 6; stats = J.Obj [ ("k", J.List [ J.Num 1.5; J.Null ]) ] } ]
+  in
+  List.iter
+    (fun r ->
+      let want = tree_frame r in
+      let got = direct_frame r in
+      if got <> want then Alcotest.failf "reply %d: %S, tree encoder %S" (P.response_id r) got want)
+    replies;
+  (* one sink, every reply appended: the concatenation of the frames *)
+  let s = P.sink () in
+  List.iter (P.write_response s) replies;
+  Alcotest.(check bool) "frames append back to back" true
+    (Bytes.sub_string s.P.bytes 0 s.P.len = String.concat "" (List.map tree_frame replies))
+
 (* --- server fixture -------------------------------------------------- *)
 
 let sock_dir =
@@ -542,13 +663,17 @@ let test_sla_end_to_end () =
 
 (* --- admission bound and explicit sheds ------------------------------ *)
 
-let poison_req ~id ~degree =
-  (* one long-running mf4 poly-eval holds the batcher busy *)
-  let coeff i = [| 1.0 +. float_of_int i; 1e-17; 1e-34; 1e-51 |] in
-  mk_req ~id ~op:P.Poly_eval ~tier:P.Mf4
-    ~x:(Array.init degree coeff)
-    ~y:[| [| 0.9999999; 1e-18; 1e-35; 1e-52 |] |]
-    ()
+let poison_req ~id ~n =
+  (* one long-running request holds the batcher busy: an SLA sum of
+     cancelling pairs, which no static certificate covers, so it settles
+     by mf4's ball certificate -- about 100 ms for 20000 elements,
+     several times what its frame takes to decode *)
+  let x =
+    Array.init n (fun i ->
+        let a = 1.0 +. (float_of_int (i / 2) *. 1e-3) in
+        if i land 1 = 0 then [| a; 1e-17 |] else [| -.a; 3e-30 |])
+  in
+  mk_req ~id ~sla:200 ~op:P.Sum ~tier:P.Mf2 ~x ~y:[||] ()
 
 let test_admission_bound () =
   let cap = 4 in
@@ -563,7 +688,7 @@ let test_admission_bound () =
           (* fill the batcher (1 executing) and the whole queue (cap) *)
           let n_poison = cap + 1 in
           let poisons =
-            List.init n_poison (fun i -> poison_req ~id:(i + 1) ~degree:20_000)
+            List.init n_poison (fun i -> poison_req ~id:(i + 1) ~n:20_000)
           in
           List.iter (Serve.Client.send slow) poisons;
           (* give the io loop time to ingest the poisons *)
@@ -677,6 +802,77 @@ let test_wire_errors () =
           | Ok _ -> Alcotest.fail "unknown op accepted"
           | Error e -> Alcotest.fail e)
       | None -> Alcotest.fail "no reply to unknown-op frame")
+
+(* A configured window ends on time: one queued entry and a 200 us
+   window return well inside the millisecond that waiting in poll(2)'s
+   whole milliseconds used to take (best of five). *)
+let test_window_on_time () =
+  let q = Serve.Admission.create ~capacity:4 in
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    ignore (Serve.Admission.push q 1);
+    let t0 = Unix.gettimeofday () in
+    let got = Serve.Admission.pop_batch q ~max:8 ~window_ns:200_000L in
+    best := Float.min !best (Unix.gettimeofday () -. t0);
+    Alcotest.(check (list int)) "the queued entry" [ 1 ] got
+  done;
+  Serve.Admission.destroy q;
+  if !best >= 0.0009 then Alcotest.failf "200 us window took %.0f us" (!best *. 1e6)
+
+(* Groups of scalar requests, and a group with one vector request, are
+   evaluated on the batcher domain without touching the scheduler; a
+   group with two vector requests fans out.  Either way every reply is
+   eval_one's, and [batch] is the group's size. *)
+let test_inline_groups () =
+  Runtime.Sched.with_sched ~workers:2 (fun sched ->
+      let serve reqs =
+        Runtime.Sched.reset_stats sched;
+        let queue = Serve.Admission.create ~capacity:64 in
+        let replies = ref [] in
+        List.iter
+          (fun req ->
+            let reply r = replies := r :: !replies in
+            match
+              Serve.Admission.push queue
+                { Serve.Batcher.req; arrival_ns = Obs.Clock.now_ns (); reply }
+            with
+            | `Ok -> ()
+            | _ -> Alcotest.fail "push refused")
+          reqs;
+        (* everything is queued before the batcher's first cycle *)
+        let b = Serve.Batcher.create ~sched ~queue ~max_batch:64 ~window_ns:0L () in
+        Serve.Admission.close queue;
+        Serve.Batcher.join b;
+        Serve.Admission.destroy queue;
+        let tasks =
+          Array.fold_left
+            (fun a w -> a + w.Runtime.Sched.tasks_executed)
+            0 (Runtime.Sched.stats sched)
+        in
+        List.iter
+          (fun (req : P.request) ->
+            match
+              List.find_opt (fun r -> P.response_id r = req.P.id) !replies
+            with
+            | Some (P.Result { result; batch; _ }) -> (
+                Alcotest.(check int) "batch is the group" (List.length reqs) batch;
+                match Serve.Batcher.eval_one req with
+                | Ok want -> check_elements "inline vs eval_one" want result
+                | Error e -> Alcotest.fail e)
+            | _ -> Alcotest.fail "request not served")
+          reqs;
+        tasks
+      in
+      let el i = [| [| 1.0 +. float_of_int i; 1e-20 |] |] in
+      let vec n = Array.init n (fun i -> [| 0.5 +. float_of_int i; 1e-19 |]) in
+      let req ~id ~op ~x ~y =
+        { P.id; op; tier = P.Mf2; sla = None; deadline_ms = None; prog = []; x; y; z = [||] }
+      in
+      let adds = List.init 16 (fun i -> req ~id:(i + 1) ~op:P.Add ~x:(el i) ~y:(el (i + 1))) in
+      Alcotest.(check int) "scalar group: no scheduler task" 0 (serve adds);
+      let dot id = req ~id ~op:P.Dot ~x:(vec 32) ~y:(vec 32) in
+      Alcotest.(check int) "one vector request: no scheduler task" 0 (serve [ dot 1 ]);
+      Alcotest.(check bool) "two vector requests fan out" true (serve [ dot 1; dot 2 ] > 0))
 
 (* One client vanishing with unread replies pending must not take the
    service down: SIGPIPE is ignored, so the failed reply write just
@@ -885,17 +1081,22 @@ let () =
           Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
           Alcotest.test_case "request validation" `Quick test_request_validation;
           Alcotest.test_case "deframer fragmentation" `Quick test_deframer_fragmentation;
-          Alcotest.test_case "deframer large frame" `Quick test_deframer_large_frame ] );
+          Alcotest.test_case "deframer large frame" `Quick test_deframer_large_frame;
+          Alcotest.test_case "decoder matches the tree decoder's verdicts" `Quick
+            test_decoder_corpus;
+          Alcotest.test_case "direct writer matches the tree encoder" `Quick test_writer_bytes ] );
       ( "bitwise",
         [ Alcotest.test_case "server vs scalar, all ops x tiers" `Quick
             test_bitwise_vs_scalar;
-          Alcotest.test_case "micro-batches form" `Quick test_batches_form ] );
+          Alcotest.test_case "micro-batches form" `Quick test_batches_form;
+          Alcotest.test_case "small groups evaluate inline" `Quick test_inline_groups ] );
       ( "sla",
         [ Alcotest.test_case "escalation end to end" `Quick test_sla_end_to_end ] );
       ( "admission",
         [ Alcotest.test_case "bound holds, sheds explicit" `Quick test_admission_bound;
           Alcotest.test_case "deadline shed" `Quick test_deadline_shed;
           Alcotest.test_case "wire errors" `Quick test_wire_errors;
+          Alcotest.test_case "window ends on time" `Quick test_window_on_time;
           Alcotest.test_case "abrupt disconnect survived" `Quick test_abrupt_disconnect;
           Alcotest.test_case "wire stats" `Quick test_wire_stats ] );
       ( "drain",

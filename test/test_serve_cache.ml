@@ -381,19 +381,22 @@ let test_shed_never_cached () =
               Serve.Client.close slow;
               Serve.Client.close flood)
             (fun () ->
-              (* poison: mf4 poly-eval over a large coefficient vector —
-                 far past the cacheable operand bound, so the cache sees
-                 only the flood *)
-              let coeff i =
-                [| 1.0 +. float_of_int i; 1e-17; 1e-34; 1e-51 |]
+              (* poison: SLA sums of 20000 cancelling pairs — far past
+                 the cacheable operand bound, so the cache sees only the
+                 flood.  No static certificate covers them, so each
+                 settles by mf4's ball certificate (about 100 ms), long
+                 after its frame is decoded: the batcher is still busy
+                 when the flood arrives, one poison running and two
+                 queued, so two floods queue and the rest shed. *)
+              let pair i =
+                let a = 1.0 +. (float_of_int (i / 2) *. 1e-3) in
+                if i land 1 = 0 then [| a; 1e-17 |] else [| -.a; 3e-30 |]
               in
               let poisons =
-                List.init 5 (fun i ->
-                    { P.id = i + 1; op = P.Poly_eval; tier = P.Mf4; sla = None;
-                      deadline_ms = None; prog = [];
-                      x = Array.init 20_000 coeff;
-                      y = [| [| 0.9999999; 1e-18; 1e-35; 1e-52 |] |];
-                      z = [||] })
+                List.init 3 (fun i ->
+                    { P.id = i + 1; op = P.Sum; tier = P.Mf2; sla = Some 200;
+                      deadline_ms = None; prog = []; x = Array.init 20_000 pair;
+                      y = [||]; z = [||] })
               in
               List.iter (Serve.Client.send slow) poisons;
               Unix.sleepf 0.05;

@@ -620,7 +620,7 @@ let show_sockaddr = function
   | Unix.ADDR_INET (ip, port) ->
       Printf.sprintf "tcp:%s:%d" (Unix.string_of_inet_addr ip) port
 
-let serve_run endpoint workers queue max_batch window_us shards cache max_conns =
+let serve_run endpoint queue max_batch window_us shards cache max_conns =
   let addr = parse_endpoint endpoint in
   let stop_flag = ref false in
   List.iter
@@ -635,17 +635,16 @@ let serve_run endpoint workers queue max_batch window_us shards cache max_conns 
     (* sharded: this (parent) process stays domain-free — the shards
        are forked first and each builds its own scheduler *)
     let t =
-      Serve.Shard.start ~addr ~shards ~sched_workers:workers ~queue_capacity:queue
-        ~max_batch ~window_us ~cache_capacity:cache ~max_conns ()
+      Serve.Shard.start ~addr ~shards ~queue_capacity:queue ~max_batch ~window_us
+        ~cache_capacity:cache ~max_conns ()
     in
     Printf.printf "fpan_tool serve: listening on %s, %d shard(s) %s\n"
       (show_sockaddr (Serve.Shard.bound_addr t))
       shards
       (String.concat "," (List.map string_of_int (Serve.Shard.pids t)));
     Printf.printf
-      "  workers %d/shard, queue %d, max-batch %d, window %g us, cache %d; \
-       SIGINT/SIGTERM drains\n%!"
-      workers queue max_batch window_us cache;
+      "  queue %d/shard, max-batch %d, window %g us, cache %d; SIGINT/SIGTERM drains\n%!"
+      queue max_batch window_us cache;
     wait ();
     print_endline "fpan_tool serve: draining";
     Serve.Shard.stop t;
@@ -655,7 +654,9 @@ let serve_run endpoint workers queue max_batch window_us shards cache max_conns 
       s.Serve.Shard.restarts s.Serve.Shard.refused
   end
   else
-    Runtime.Sched.with_sched ~workers (fun sched ->
+    (* the batcher evaluates on its own domain: the scheduler only
+       carries the drain hook, and one worker spawns no domain *)
+    Runtime.Sched.with_sched ~workers:1 (fun sched ->
         let srv =
           Serve.Server.start ~sched ~addr ~queue_capacity:queue ~max_batch ~window_us
             ~cache_capacity:cache ~max_conns ()
@@ -663,9 +664,8 @@ let serve_run endpoint workers queue max_batch window_us shards cache max_conns 
         Printf.printf "fpan_tool serve: listening on %s\n"
           (show_sockaddr (Serve.Server.bound_addr srv));
         Printf.printf
-          "  workers %d, queue %d, max-batch %d, window %g us, cache %d; \
-           SIGINT/SIGTERM drains\n%!"
-          workers queue max_batch window_us cache;
+          "  queue %d, max-batch %d, window %g us, cache %d; SIGINT/SIGTERM drains\n%!"
+          queue max_batch window_us cache;
         wait ();
         print_endline "fpan_tool serve: draining";
         Serve.Server.stop srv;
@@ -674,17 +674,15 @@ let serve_run endpoint workers queue max_batch window_us shards cache max_conns 
 let serve_cmd =
   let doc =
     "Run the batched extended-precision evaluation server: length-prefixed JSON frames \
-     (fpan-serve/1) over a unix or TCP socket, deadline-aware micro-batching onto the \
-     work-stealing scheduler, bounded admission with explicit shed responses, and a graceful \
-     drain on SIGINT/SIGTERM that answers every accepted request before exiting."
+     (fpan-serve/1) over a unix or TCP socket, deadline-aware micro-batching (each request \
+     answered by the scalar reference path on the batcher domain), bounded admission with \
+     explicit shed responses, and a graceful drain on SIGINT/SIGTERM that answers every \
+     accepted request before exiting."
   in
   let endpoint_arg =
     Arg.(value & opt string "./fpan_serve.sock"
          & info [ "listen"; "l" ] ~docv:"ADDR"
              ~doc:"Socket to serve on: a unix path, or HOST:PORT for TCP (port 0 = ephemeral).")
-  in
-  let workers_arg =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"W" ~doc:"Scheduler worker count.")
   in
   let queue_arg =
     Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc:"Admission queue capacity.")
@@ -705,7 +703,7 @@ let serve_cmd =
     Arg.(value & opt int 0
          & info [ "shards" ] ~docv:"N"
              ~doc:"Fork N server processes behind a connection distributor \
-                   (0 = single-process).  Each shard runs its own scheduler and \
+                   (0 = single-process).  Each shard runs its own batcher and \
                    cache; dead shards are detected and restarted.")
   in
   let cache_arg =
@@ -720,7 +718,7 @@ let serve_cmd =
              ~doc:"Concurrent connection cap (per shard when sharded).")
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const serve_run $ endpoint_arg $ workers_arg $ queue_arg $ max_batch_arg
+    Term.(const serve_run $ endpoint_arg $ queue_arg $ max_batch_arg
           $ window_arg $ shards_arg $ cache_arg $ max_conns_arg)
 
 (* --- loadgen -------------------------------------------------------- *)
@@ -1070,7 +1068,7 @@ let lg_canary ~sockaddr ~slas ~ops ~tiers ~pipeline =
   Serve.Client.close cl;
   (!checked, !mismatches)
 
-let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_csv
+let loadgen_run connect queue duration conns_csv pipeline ops_csv tiers_csv
     slas_csv configs_csv shards_csv cache out =
   let module J = Obs.Json_out in
   drain_on_signal ();
@@ -1161,8 +1159,7 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
                 in
                 let t =
                   Serve.Shard.start ~addr:(Serve.Server.Unix_path sock) ~shards:s
-                    ~sched_workers:workers ~queue_capacity:queue ~max_batch:b
-                    ~window_us:w ~cache_capacity:cache ()
+                    ~queue_capacity:queue ~max_batch:b ~window_us:w ~cache_capacity:cache ()
                 in
                 Some ((b, w, s), t)
               end)
@@ -1204,7 +1201,7 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
           Serve.Client.close probe;
           (res, stats)
       | None ->
-          Runtime.Sched.with_sched ~workers (fun sched ->
+          Runtime.Sched.with_sched ~workers:1 (fun sched ->
               let sock = Printf.sprintf "./fpan_loadgen_%d.sock" (Unix.getpid ()) in
               let srv =
                 Serve.Server.start ~sched ~addr:(Serve.Server.Unix_path sock)
@@ -1295,7 +1292,8 @@ let loadgen_run connect workers queue duration conns_csv pipeline ops_csv tiers_
     J.Obj
       [ ("schema", J.Str "fpan-serve/3");
         ("mode", J.Str mode);
-        ("workers", J.Num (Float.of_int workers));
+        (* every server scheduler has one worker: serving runs no task on it *)
+        ("workers", J.Num 1.);
         ("queue_capacity", J.Num (Float.of_int queue));
         ("cache_capacity", J.Num (Float.of_int cache));
         ("duration_s", J.Num duration);
@@ -1328,10 +1326,6 @@ let loadgen_cmd =
          & info [ "connect" ] ~docv:"ADDR"
              ~doc:"Drive an already-running server (unix path or HOST:PORT) instead of \
                    in-process ones.")
-  in
-  let workers_arg =
-    Arg.(value & opt int 4
-         & info [ "workers" ] ~docv:"W" ~doc:"Scheduler workers for in-process servers.")
   in
   let queue_arg =
     Arg.(value & opt int 256
@@ -1395,7 +1389,7 @@ let loadgen_cmd =
          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"JSON output path.")
   in
   Cmd.v (Cmd.info "loadgen" ~doc)
-    Term.(const loadgen_run $ connect_arg $ workers_arg $ queue_arg $ duration_arg
+    Term.(const loadgen_run $ connect_arg $ queue_arg $ duration_arg
           $ conns_arg $ pipeline_arg $ ops_arg $ tiers_arg $ slas_arg $ configs_arg
           $ shards_arg $ cache_arg $ out_arg)
 
@@ -1515,9 +1509,8 @@ let chaos_fleet_scenario ~seed ~shards ~requests (s : Chaos.Plan.scenario) =
      swaps to its own (accept/dispatch) plan once the fleet is up *)
   Chaos.Injector.arm ~seed s.Chaos.Plan.seam_rules;
   let fleet =
-    Serve.Shard.start ~addr:(Serve.Server.Unix_path sock) ~shards
-      ~sched_workers:1 ~queue_capacity:64 ~max_batch:8 ~window_us:100.
-      ~cache_capacity:32 ()
+    Serve.Shard.start ~addr:(Serve.Server.Unix_path sock) ~shards ~queue_capacity:64
+      ~max_batch:8 ~window_us:100. ~cache_capacity:32 ()
   in
   Chaos.Injector.disarm ();
   if s.Chaos.Plan.parent_rules <> [] then

@@ -1,27 +1,26 @@
 (* The escalation engine: the one place the ladder mf2 -> mf3 -> mf4 ->
-   bigfloat is decided, in two steps around one evaluation.
+   bigfloat is decided.  [run] answers one request in three steps:
 
-   - [plan] runs the SLA admission check and picks the rung to evaluate
-     at from the operands alone: the cheapest one whose static
-     certificate meets the threshold, else the last MultiFloat rung.
-     Jumping straight there, instead of evaluating (and discarding) the
-     rungs below, is what keeps the ladder's cost near that of its
-     cheapest admissible tier.
-   - [settle] takes the result evaluated at the planned rung and returns
-     the static bound if it met, else mf4's ball certificate if that
-     meets, else the bigfloat fallback.  A result with a non-finite
-     component takes the fallback at once.  Below mf4 a ball is never worth
-     its bignum cost: its measured distance is dominated by the rung's
-     own rounding error (~2^-q_tier * scale), so whenever the static
-     certificate misses by more than its small constant factor the ball
-     would miss too, and escalating one rung costs far less than finding
-     that out.  At mf4 the alternative is the 400-bit bigfloat rung,
-     which dwarfs a ball, so there the gamble pays.
+   - plan: the SLA admission check, then the rung to evaluate at, picked
+     from the operands alone: the cheapest one whose static certificate
+     meets the threshold, else the last MultiFloat rung.  Jumping
+     straight there, instead of evaluating (and discarding) the rungs
+     below, is what keeps the ladder's cost near that of its cheapest
+     admissible tier.
+   - evaluate: the scalar evaluator at the planned rung, on the operands
+     zero-padded to its width.
+   - settle: the static bound if it met, else mf4's ball certificate if
+     that meets, else the bigfloat fallback.  A result with a non-finite
+     component takes the fallback at once.  Below mf4 a ball is never
+     worth its bignum cost: its measured distance is dominated by the
+     rung's own rounding error (~2^-q_tier * scale), so whenever the
+     static certificate misses by more than its small constant factor
+     the ball would miss too, and escalating one rung costs far less
+     than finding that out.  At mf4 the alternative is the 400-bit
+     bigfloat rung, which dwarfs a ball, so there the gamble pays.
 
-   [run] is plan, the scalar evaluator at the planned rung, then settle.
-   The serving layer batches the evaluations of a whole cohort between
-   the same two calls, so both paths make the same decisions by
-   construction.
+   The serving layer answers every SLA request with [run] itself, so a
+   served reply and the reference are one call.
 
    The result at a MultiFloat rung is exactly what the tier evaluator
    produced for the zero-padded operands, so it is bitwise identical to
@@ -87,51 +86,37 @@ let bigfloat_outcome op (inp : Sla.inputs) ~escalations =
   let bound = Certify.ball_bound op ~prec:(big_prec + Certify.ball_guard) inp result in
   { result; bound; chosen = "bigfloat"; escalations }
 
-type plan = {
-  op : Sla.op;
-  inputs : Sla.inputs;
-  start : int;  (* the ladder's first rung, in terms *)
-  terms : int;  (* the rung to evaluate at *)
-  static_bound : float;  (* the static certificate at [terms] *)
-  threshold : float;
-}
-
-let plan ~q ~op (inputs : Sla.inputs) =
-  match Sla.check ~q inputs with
-  | Error msg -> Error msg
-  | Ok start ->
-      let scale = Certify.scale op inputs in
-      let n = max 1 (Array.length inputs.x) in
-      let threshold = Certify.threshold ~q ~scale in
-      let rec pick terms =
-        let static_bound = Certify.static_bound op ~n ~terms ~scale in
-        if terms = Sla.max_terms || static_bound <= threshold then
-          Ok { op; inputs; start; terms; static_bound; threshold }
-        else pick (terms + 1)
-      in
-      pick start
-
 (* A non-finite component certifies nothing, whatever the bound says:
    the tier kernels return NaN for some inputs whose exact result is
    finite (a subnormal divisor or radicand), and the static bound,
    computed from the operands alone, cannot see that. *)
 let finite_rows rows = Array.for_all (Array.for_all Float.is_finite) rows
 
-let settle p result =
-  let bound =
-    if p.static_bound <= p.threshold then p.static_bound
-    else
-      (* planned at the last MultiFloat rung without a static
-         certificate: its ball may still pass before the fallback *)
-      Float.min p.static_bound
-        (Certify.ball_bound p.op ~prec:(Certify.prec_of_terms p.terms + Certify.ball_guard)
-           p.inputs result)
-  in
-  if finite_rows result && bound <= p.threshold then
-    { result; bound; chosen = Sla.tier_name_of_terms p.terms; escalations = p.terms - p.start }
-  else bigfloat_outcome p.op p.inputs ~escalations:(p.terms - p.start + 1)
-
-let run ~q ~op inputs =
-  match plan ~q ~op inputs with
+let run ~q ~op (inputs : Sla.inputs) =
+  match Sla.check ~q inputs with
   | Error msg -> Error msg
-  | Ok p -> Ok (settle p (Eval.eval ~terms:p.terms op (Sla.pad ~terms:p.terms inputs)))
+  | Ok start ->
+      let scale = Certify.scale op inputs in
+      let n = max 1 (Array.length inputs.x) in
+      let threshold = Certify.threshold ~q ~scale in
+      (* plan *)
+      let rec pick terms =
+        let static_bound = Certify.static_bound op ~n ~terms ~scale in
+        if terms = Sla.max_terms || static_bound <= threshold then (terms, static_bound)
+        else pick (terms + 1)
+      in
+      let terms, static_bound = pick start in
+      let result = Eval.eval ~terms op (Sla.pad ~terms inputs) in
+      (* settle *)
+      let bound =
+        if static_bound <= threshold then static_bound
+        else
+          (* planned at the last MultiFloat rung without a static
+             certificate: its ball may still pass before the fallback *)
+          Float.min static_bound
+            (Certify.ball_bound op ~prec:(Certify.prec_of_terms terms + Certify.ball_guard)
+               inputs result)
+      in
+      if finite_rows result && bound <= threshold then
+        Ok { result; bound; chosen = Sla.tier_name_of_terms terms; escalations = terms - start }
+      else Ok (bigfloat_outcome op inputs ~escalations:(terms - start + 1))

@@ -1,22 +1,13 @@
-(* Micro-batcher domain: pop — shed expired — group by (op, tier,
-   sla?) — evaluate each group's requests — scatter replies.
+(* Micro-batcher domain: pop — shed expired — answer each live entry
+   on this domain, in arrival order — flush.
 
-   One evaluator: every request, batched or not, is evaluated by
-   [eval_fixed], the scalar kernels in index order, so a served
-   response is the scalar path's by construction whatever the batch.
-   A group with two or more vector requests fans them out over the
-   scheduler with [parallel_for]; every other group is evaluated on
-   the batcher domain.  The grouping decides the reply's [batch] field
-   and the SLA cohorts, not the arithmetic.
-
-   SLA cohorts: requests carrying an accuracy SLA group by (op,
-   starting tier).  The ladder itself is Adaptive.Escalate's: each
-   element is planned (its rung picked from the operands alone), each
-   rung's planned elements are evaluated as one group exactly as a
-   fixed-tier group is, and each element is settled against its own
-   budget.  Results at an element's chosen tier are therefore bitwise
-   what a fixed-tier request with the zero-padded operands would have
-   returned, and every decision is the scalar ladder's. *)
+   One request, one answer: a fixed-tier request is answered by
+   [eval_one] and an SLA request by [eval_adaptive] (Escalate.run), the
+   very calls that are the reference, so a served reply is the
+   reference result by construction whatever else the cycle held.  An
+   exception fails only its own request.  A cycle's live count is the
+   reply's [batch] field and the [serve.batch_size.<n>] member it
+   counts in; it does not change the arithmetic. *)
 
 module P = Protocol
 module A = Adaptive
@@ -87,12 +78,6 @@ let pad_request ~terms (r : P.request) =
     z = pad r.P.z;
   }
 
-let eval_fixed (r : P.request) =
-  match r.P.tier with
-  | P.Mf2 -> X2.eval_one r
-  | P.Mf3 -> X3.eval_one r
-  | P.Mf4 -> X4.eval_one r
-
 (* Scalar reference path for SLA requests: the escalation ladder with
    each rung evaluated by the scalar kernels. *)
 let eval_adaptive (r : P.request) : (A.Escalate.outcome, string) result =
@@ -107,31 +92,13 @@ let eval_one (r : P.request) =
   | P.Stats, _ -> Error "stats is not a compute op"
   | _, Some _ -> Result.map (fun (o : A.Escalate.outcome) -> o.result) (eval_adaptive r)
   | _, None -> (
-      try Ok (eval_fixed r) with e -> Error (Printexc.to_string e))
-
-(* A group fans out over the scheduler only when at least two of its
-   requests carry a multi-element operand.  Any other group runs on
-   the batcher domain: a scalar evaluation takes about a microsecond,
-   less than waking a worker to steal it, and a lone vector request
-   has nothing to split.  Either way each request is [eval_fixed] on
-   its own, so the domain changes and the bits do not; a raise fails
-   the group with the first raising request's exception. *)
-let fans_out (reqs : P.request array) =
-  let multi (r : P.request) =
-    Array.length r.P.x > 1 || Array.length r.P.y > 1 || Array.length r.P.z > 1
-  in
-  Array.fold_left (fun k r -> if multi r then k + 1 else k) 0 reqs >= 2
-
-let eval_group sched (reqs : P.request array) =
-  if not (fans_out reqs) then Array.map eval_fixed reqs
-  else begin
-    let out = Array.make (Array.length reqs) [||] in
-    Runtime.Sched.parallel_for sched ~lo:0 ~hi:(Array.length reqs) (fun lo hi ->
-        for i = lo to hi - 1 do
-          out.(i) <- eval_fixed reqs.(i)
-        done);
-    out
-  end
+      try
+        Ok
+          (match r.P.tier with
+          | P.Mf2 -> X2.eval_one r
+          | P.Mf3 -> X3.eval_one r
+          | P.Mf4 -> X4.eval_one r)
+      with e -> Error (Printexc.to_string e))
 
 (* --- the batcher domain --------------------------------------------- *)
 
@@ -148,7 +115,6 @@ let shed_bucket (req : P.request) =
   | Some q -> if q <= 50 then 1 else if q <= 100 then 2 else if q <= 150 then 3 else 4
 
 type t = {
-  sched : Runtime.Sched.t;
   queue : entry Admission.t;
   max_batch : int;
   window_ns : int64;
@@ -161,9 +127,8 @@ type t = {
   sla_escalations_ctr : M.counter;
   shed_ctrs : M.counter array;  (* by shed_bucket *)
   latency_hist : M.hist;
-  (* per-rung serving latency: how much an SLA request pays for ending
-     up at each tier (escalated elements accumulate every rung they
-     visited) *)
+  (* per-rung serving latency: arrival to reply of the SLA requests
+     that settled at each tier *)
   sla_latency_hists : (string * M.hist) list;
   members : (string, M.counter) Hashtbl.t;  (* batcher domain only *)
   mutable domain : unit Domain.t option;
@@ -173,25 +138,6 @@ let expired now (e : entry) =
   match e.req.P.deadline_ms with
   | None -> false
   | Some d -> (now -. e.arrival_ns) *. 1e-6 > d
-
-(* Group by (op, tier, sla?), preserving arrival order inside each
-   group and first-appearance order across groups.  SLA requests form
-   their own escalation cohorts per (op, starting tier); the concrete
-   q may differ inside a cohort — certification is per element. *)
-let group_entries entries =
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun e ->
-      let key = (e.req.P.op, e.req.P.tier, e.req.P.sla <> None) in
-      match Hashtbl.find_opt tbl key with
-      | Some acc -> acc := e :: !acc
-      | None ->
-          Hashtbl.add tbl key (ref [ e ]);
-          order := key :: !order)
-    entries;
-  List.rev_map (fun key -> List.rev !(Hashtbl.find tbl key)) !order
-  |> List.rev
 
 (* A counter-family member ([serve.batch_size.<n>],
    [serve.sla.chosen.<tier>]), registered on first use so a family
@@ -209,105 +155,38 @@ let count_batch t n = M.incr (member t ("serve.batch_size." ^ string_of_int n))
 
 let count_shed t req = M.incr t.shed_ctrs.(shed_bucket req)
 
-(* counters move before the replies go out, so a client that reacts
-   to its response instantly still sees itself in the stats *)
-let run_fixed_group t (arr : entry array) =
-  let n = Array.length arr in
-  match eval_group t.sched (Array.map (fun e -> e.req) arr) with
-  | results ->
-      M.add t.completed_ctr n;
-      count_batch t n;
-      let now = Obs.Clock.now_ns () in
-      Array.iteri
-        (fun i e ->
-          M.observe t.latency_hist (now -. e.arrival_ns);
-          e.reply
-            (P.Result
-               { id = e.req.P.id; result = results.(i); batch = n;
-                 chosen = None; bound = None }))
-        arr
-  | exception e ->
-      let msg = Printexc.to_string e in
-      M.add t.errors_ctr n;
-      count_batch t n;
-      Array.iter (fun en -> en.reply (P.Failed { id = en.req.P.id; error = msg })) arr
-
-(* One SLA cohort in three steps: plan every element, evaluate each
-   rung's planned elements as one group through [eval_group], settle
-   each element.  If evaluating or settling raises, every element not
-   yet settled fails with the exception's text. *)
-let run_sla_group t (arr : entry array) =
-  let n = Array.length arr in
-  let plans =
-    Array.map
-      (fun e ->
-        match (sla_op e.req, e.req.P.sla) with
-        | Some op, Some q -> (
-            try A.Escalate.plan ~q ~op (sla_inputs e.req)
-            with ex -> Error (Printexc.to_string ex))
-        | _ -> Error "not an sla-certifiable request")
-      arr
+(* Answer one live entry with the reference call for its kind.  Its
+   counters move before its reply goes out, so a client that reacts to
+   the response instantly still sees itself in the stats. *)
+let answer t batch (e : entry) =
+  let id = e.req.P.id in
+  let failed error =
+    M.incr t.errors_ctr;
+    e.reply (P.Failed { id; error })
   in
-  let rung i = match plans.(i) with Ok p -> p.A.Escalate.terms | Error _ -> 0 in
-  let settled = Array.make n None in
-  let failure = ref "" in
-  (try
-     for terms = A.Sla.min_terms to A.Sla.max_terms do
-       let idxs = Array.of_list (List.filter (fun i -> rung i = terms) (List.init n Fun.id)) in
-       if idxs <> [||] then begin
-         let padded = Array.map (fun i -> pad_request ~terms arr.(i).req) idxs in
-         let res = eval_group t.sched padded in
-         Array.iteri
-           (fun k i ->
-             settled.(i) <- Some (A.Escalate.settle (Result.get_ok plans.(i)) res.(k)))
-           idxs
-       end
-     done
-   with e -> failure := Printexc.to_string e);
-  let outcomes =
-    Array.mapi
-      (fun i plan ->
-        match (plan, settled.(i)) with
-        | Ok _, Some o -> Ok o
-        | Ok _, None -> Error !failure
-        | Error msg, _ -> Error msg)
-      plans
+  let served result ~chosen ~bound =
+    M.incr t.completed_ctr;
+    let latency = Obs.Clock.now_ns () -. e.arrival_ns in
+    M.observe t.latency_hist latency;
+    Option.iter
+      (fun tier ->
+        Option.iter (fun h -> M.observe h latency) (List.assoc_opt tier t.sla_latency_hists))
+      chosen;
+    e.reply (P.Result { id; result; batch; chosen; bound })
   in
-  let n_fail = Array.fold_left (fun a o -> if Result.is_ok o then a else a + 1) 0 outcomes in
-  M.add t.completed_ctr (n - n_fail);
-  M.add t.errors_ctr n_fail;
-  M.add t.sla_requests_ctr n;
-  Array.iter
-    (function
-      | Ok (o : A.Escalate.outcome) ->
-          M.add t.sla_escalations_ctr o.escalations;
-          M.incr (member t ("serve.sla.chosen." ^ o.chosen))
-      | Error _ -> ())
-    outcomes;
-  count_batch t n;
-  let now = Obs.Clock.now_ns () in
-  Array.iteri
-    (fun i e ->
-      match outcomes.(i) with
+  match e.req.P.sla with
+  | None -> (
+      match eval_one e.req with
+      | Ok result -> served result ~chosen:None ~bound:None
+      | Error msg -> failed msg)
+  | Some _ -> (
+      M.incr t.sla_requests_ctr;
+      match eval_adaptive e.req with
       | Ok o ->
-          M.observe t.latency_hist (now -. e.arrival_ns);
-          (match List.assoc_opt o.chosen t.sla_latency_hists with
-          | Some h -> M.observe h (now -. e.arrival_ns)
-          | None -> ());
-          e.reply
-            (P.Result
-               { id = e.req.P.id; result = o.result; batch = n; chosen = Some o.chosen;
-                 bound = Some o.bound })
-      | Error error -> e.reply (P.Failed { id = e.req.P.id; error }))
-    arr
-
-let run_group t (group : entry list) =
-  let arr = Array.of_list group in
-  let tr = Obs.Trace.enabled () in
-  if tr then Obs.Trace.begin_span Obs.Trace.Io "serve.batch";
-  if arr.(0).req.P.sla <> None then run_sla_group t arr else run_fixed_group t arr;
-  if tr then
-    Obs.Trace.end_span_f ~arg_name:"batch" ~arg:(float_of_int (Array.length arr))
+          M.add t.sla_escalations_ctr o.escalations;
+          M.incr (member t ("serve.sla.chosen." ^ o.chosen));
+          served o.result ~chosen:(Some o.chosen) ~bound:(Some o.bound)
+      | Error msg -> failed msg)
 
 let cycle t entries =
   let now = Obs.Clock.now_ns () in
@@ -318,7 +197,14 @@ let cycle t entries =
       count_shed t e.req;
       e.reply (P.Shed { id = e.req.P.id; reason = "deadline" }))
     late;
-  List.iter (run_group t) (group_entries live);
+  (match List.length live with
+  | 0 -> ()
+  | n ->
+      count_batch t n;
+      let tr = Obs.Trace.enabled () in
+      if tr then Obs.Trace.begin_span Obs.Trace.Io "serve.batch";
+      List.iter (answer t n) live;
+      if tr then Obs.Trace.end_span_f ~arg_name:"batch" ~arg:(float_of_int n));
   (* one flush per cycle: replies buffered per connection by the
      server go out in a single write each *)
   t.flush ()
@@ -330,14 +216,13 @@ let rec loop t =
       cycle t entries;
       loop t
 
-let create ~sched ~queue ~max_batch ~window_ns ?(flush = fun () -> ()) () =
+let create ~sched:_ ~queue ~max_batch ~window_ns ?(flush = fun () -> ()) () =
   if max_batch < 1 then invalid_arg "Serve.Batcher.create: max_batch < 1";
   let metrics = M.create () in
   let ctr name = M.counter metrics ("serve." ^ name) in
   let hist name = M.hist metrics ("serve." ^ name) in
   let t =
     {
-      sched;
       queue;
       max_batch;
       window_ns;

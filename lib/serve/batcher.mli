@@ -3,31 +3,20 @@
 
     A dedicated domain pops up to [max_batch] requests per cycle
     (waiting at most [window_ns] after the first to let the batch
-    fill), sheds the ones whose deadline already passed, groups the
-    rest by (op, tier, sla?), and evaluates each group.  A group fans
-    its requests out with [parallel_for] on the shared
-    {!Runtime.Sched} only when at least two of them carry a
-    multi-element operand; every other group (every group of scalar
-    requests, a lone vector request) is evaluated on the batcher
-    domain itself, since a scalar evaluation costs less than waking a
-    worker to steal it.  Results scatter back through each request's
-    reply callback.
+    fill), sheds the ones whose deadline already passed, and answers
+    each of the rest on its own domain, in arrival order: a fixed-tier
+    request with {!eval_one}, an SLA request with {!eval_adaptive}
+    ({!Adaptive.Escalate.run}: static bound, mf4's ball certificate,
+    or the bigfloat fallback).  Replies go back through each request's
+    reply callback, and the cycle ends with one [flush].
 
-    There is one evaluator: every request is evaluated on its own by
-    the scalar path ({!eval_one}), whatever group it lands in, so a
-    served response is {!eval_one}'s result by construction.  The
-    grouping sets each reply's [batch] field and forms the SLA
-    cohorts.
-
-    SLA requests form cohorts per (op, starting tier), served by
-    {!Adaptive.Escalate}'s ladder in three steps: every element is
-    planned ({!Adaptive.Escalate.plan} picks its rung from the operands
-    alone), each rung's planned elements are evaluated as one group
-    (under the same fan-out rule), and every element is settled
-    against its own budget
-    ({!Adaptive.Escalate.settle}: static bound, mf4's ball
-    certificate, or the bigfloat fallback).  If evaluating or settling
-    raises, the elements not yet settled are answered [Failed].
+    A served reply is therefore the reference function's result by
+    construction: the batcher makes the same call.  An exception fails
+    only its own request ([Failed] with the exception's text).  The
+    cycle's live count (popped minus deadline sheds) is each reply's
+    [batch] field; nothing else about the cycle reaches a reply.  The
+    batcher runs nothing on a {!Runtime.Sched}: {!Shard}'s processes
+    are the serving layer's way to use more cores.
 
     [max_batch = 1] gives batch-size-1 serving, the baseline the load
     generator compares against.  [window_ns = 0L] (the server's
@@ -42,11 +31,13 @@ type entry = {
 }
 
 type stats = {
-  batches : int;  (** executed micro-batches (groups) *)
+  batches : int;  (** cycles that answered at least one request *)
   completed : int;  (** requests answered with [Result] *)
   shed_deadline : int;
   errors : int;
-  histogram : (int * int) list;  (** batch size -> count, ascending *)
+  histogram : (int * int) list;
+      (** live count -> cycles, ascending; [Σ size·count] is
+          [completed + errors] *)
   sla_requests : int;  (** requests that carried an accuracy SLA *)
   sla_escalations : int;  (** total ladder rungs climbed past starting tiers *)
   sla_chosen : (string * int) list;
@@ -66,6 +57,8 @@ val create :
   t
 (** Spawn the batcher domain.  It exits once [queue] is closed and
     fully drained — every already-admitted entry gets a reply.
+    [sched] is not used (the batcher evaluates on its own domain); the
+    label stays because perfbench passes one.
     [flush] (default a no-op) runs at the end of every cycle, after
     the cycle's replies; the server uses it to coalesce buffered
     per-connection reply bytes into one write each. *)
@@ -80,7 +73,7 @@ val join : t -> unit
     The batcher keeps [serve.completed], [serve.errors],
     [serve.shed_deadline], [serve.sla_requests] and
     [serve.sla_escalations]; the counter families
-    [serve.batch_size.<n>] (one per micro-batch) and
+    [serve.batch_size.<n>] (one per cycle, [n] its live count) and
     [serve.sla.chosen.<tier>]; and the arrival-to-reply histograms
     [serve.latency_ns] and [serve.sla.latency_ns.<tier>].  Counters
     move before the replies they count are sent. *)
@@ -111,18 +104,19 @@ val stats : t -> stats
 
 val eval_one : Protocol.request -> (float array array, string) result
 (** The scalar path: evaluate one request with the scalar MultiFloat
-    kernels ({!Adaptive.Eval} for the certifiable ops), no batching, no
-    scheduler.  The batcher evaluates every fixed-tier request through
-    the same function.  For SLA requests this runs the full escalation
-    ladder ({!eval_adaptive}) and returns its result. *)
+    kernels ({!Adaptive.Eval} for the certifiable ops).  The batcher
+    answers every fixed-tier request with this function.  For SLA
+    requests this runs the full escalation ladder ({!eval_adaptive})
+    and returns its result. *)
 
 val eval_adaptive : Protocol.request -> (Adaptive.Escalate.outcome, string) result
 (** Scalar escalation reference for an SLA request:
-    {!Adaptive.Escalate.run}.  The served cohort path plans and settles
-    through the same two calls, around the same scalar evaluations, so
-    its responses match this outcome exactly. *)
+    {!Adaptive.Escalate.run}, with an exception turned into [Error].
+    The batcher answers every SLA request with this function, so its
+    replies carry this outcome's result, chosen rung and bound. *)
 
 val pad_request : terms:int -> Protocol.request -> Protocol.request
 (** The fixed-tier twin of an SLA request at one ladder rung: operands
     zero-padded (exact) to the rung's width, the sla dropped — the
-    request whose direct evaluation the SLA path matches bitwise. *)
+    request whose direct evaluation an SLA reply settled at that rung
+    matches bitwise. *)

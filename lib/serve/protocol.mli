@@ -96,7 +96,9 @@ type response =
       bound : float option;
           (** SLA requests: the certified absolute error bound. *)
     }
-      (** [batch] is the size of the micro-batch the request executed in. *)
+      (** [batch] is the live count of the batcher cycle that answered
+          the request: the entries it popped, less its deadline sheds.
+          A cache hit, answered without the batcher, reads 1. *)
   | Shed of { id : int; reason : string }
       (** Explicit refusal: ["queue_full"], ["deadline"], or ["closed"]. *)
   | Failed of { id : int; error : string }

@@ -6,9 +6,11 @@
     incremental deframing, single-pass decode
     ({!Protocol.request_of_frame}), cache lookup, admission, immediate
     replies for sheds / errors / cache hits / [stats]), and a
-    {!Batcher} domain executing admitted requests, on itself or on the
-    caller's {!Runtime.Sched}.  Replies are written straight into each
-    connection's output buffer ({!Protocol.write_response}).
+    {!Batcher} domain answering admitted requests one at a time on
+    itself.  The caller's {!Runtime.Sched} runs no serving work: it
+    carries the drain hook below and closes the [stats] document.
+    Replies are written straight into each connection's output buffer
+    ({!Protocol.write_response}).
     Connections are dispatched O(1) through a table keyed by
     descriptor, so thousands of concurrent connections cost only their
     live events.

@@ -14,7 +14,6 @@ external send_fd_stub : Unix.file_descr -> int -> int -> unit = "caml_fpan_send_
 let int_of_fd : Unix.file_descr -> int = Obj.magic
 
 type opts = {
-  sched_workers : int;
   queue_capacity : int option;
   max_batch : int option;
   window_us : float option;
@@ -64,7 +63,7 @@ type stats = {
    Unix._exit so the parent's at_exit handlers (test harness cleanup,
    artifact writers) do not run a second time in each child. *)
 let child_main chan (o : opts) =
-  let sched = Runtime.Sched.create ~workers:o.sched_workers () in
+  let sched = Runtime.Sched.create ~workers:1 () in
   let lock = Mutex.create () in
   let cond = Condition.create () in
   let drained = ref false in
@@ -258,8 +257,8 @@ let distributor t =
 
 (* --- lifecycle -------------------------------------------------------- *)
 
-let start ~addr ~shards ?(sched_workers = 1) ?queue_capacity ?max_batch ?window_us
-    ?cache_capacity ?max_conns () =
+let start ~addr ~shards ?queue_capacity ?max_batch ?window_us ?cache_capacity ?max_conns
+    () =
   if shards < 1 then invalid_arg "Serve.Shard.start: shards < 1";
   (* a send into a shard that died mid-handoff must surface as EPIPE,
      not kill the distributor *)
@@ -269,10 +268,7 @@ let start ~addr ~shards ?(sched_workers = 1) ?queue_capacity ?max_batch ?window_
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  let opts =
-    { sched_workers; queue_capacity; max_batch; window_us; cache_capacity;
-      max_conns }
-  in
+  let opts = { queue_capacity; max_batch; window_us; cache_capacity; max_conns } in
   let t =
     {
       listen_fd;

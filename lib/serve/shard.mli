@@ -36,7 +36,6 @@ type t
 val start :
   addr:Server.addr ->
   shards:int ->
-  ?sched_workers:int ->
   ?queue_capacity:int ->
   ?max_batch:int ->
   ?window_us:float ->
@@ -47,9 +46,9 @@ val start :
 (** Bind [addr], fork [shards] server processes, and start the
     distributor thread.  Must be called from a process that has never
     spawned a domain ([Unix.fork] would refuse otherwise).  Shards
-    that die are re-forked; [sched_workers] is each shard's scheduler
-    size (default 1); the remaining options are passed through to each
-    shard's {!Server.start_adopted}.
+    that die are re-forked.  Each shard's server gets a one-worker
+    scheduler, which spawns no domain; the options are passed through
+    to each shard's {!Server.start_adopted}.
 
     Raises [Invalid_argument] if [shards < 1]. *)
 

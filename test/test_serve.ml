@@ -819,12 +819,14 @@ let test_window_on_time () =
   Serve.Admission.destroy q;
   if !best >= 0.0009 then Alcotest.failf "200 us window took %.0f us" (!best *. 1e6)
 
-(* Groups of scalar requests, and a group with one vector request, are
-   evaluated on the batcher domain without touching the scheduler; a
-   group with two vector requests fans out.  Either way every reply is
-   eval_one's, and [batch] is the group's size. *)
-let test_inline_groups () =
+(* A cycle answers each request by itself, on the batcher domain: a
+   fixed-tier request with eval_one, an SLA request with eval_adaptive.
+   Every reply carries the cycle's live count as [batch], no scheduler
+   task runs, and an exception fails only its own request. *)
+let test_cycle_per_request () =
   Runtime.Sched.with_sched ~workers:2 (fun sched ->
+      (* everything is queued before the batcher's first cycle, so one
+         cycle holds it all *)
       let serve reqs =
         Runtime.Sched.reset_stats sched;
         let queue = Serve.Admission.create ~capacity:64 in
@@ -839,7 +841,6 @@ let test_inline_groups () =
             | `Ok -> ()
             | _ -> Alcotest.fail "push refused")
           reqs;
-        (* everything is queued before the batcher's first cycle *)
         let b = Serve.Batcher.create ~sched ~queue ~max_batch:64 ~window_ns:0L () in
         Serve.Admission.close queue;
         Serve.Batcher.join b;
@@ -849,30 +850,72 @@ let test_inline_groups () =
             (fun a w -> a + w.Runtime.Sched.tasks_executed)
             0 (Runtime.Sched.stats sched)
         in
-        List.iter
-          (fun (req : P.request) ->
-            match
-              List.find_opt (fun r -> P.response_id r = req.P.id) !replies
-            with
-            | Some (P.Result { result; batch; _ }) -> (
-                Alcotest.(check int) "batch is the group" (List.length reqs) batch;
-                match Serve.Batcher.eval_one req with
-                | Ok want -> check_elements "inline vs eval_one" want result
-                | Error e -> Alcotest.fail e)
-            | _ -> Alcotest.fail "request not served")
-          reqs;
-        tasks
+        let reply_of (req : P.request) =
+          match List.filter (fun r -> P.response_id r = req.P.id) !replies with
+          | [ r ] -> r
+          | rs -> Alcotest.failf "id %d: %d replies" req.P.id (List.length rs)
+        in
+        (reply_of, tasks, Serve.Batcher.stats b)
       in
       let el i = [| [| 1.0 +. float_of_int i; 1e-20 |] |] in
       let vec n = Array.init n (fun i -> [| 0.5 +. float_of_int i; 1e-19 |]) in
-      let req ~id ~op ~x ~y =
-        { P.id; op; tier = P.Mf2; sla = None; deadline_ms = None; prog = []; x; y; z = [||] }
+      let req ?sla ?(prog = []) ~id ~op ~x ~y () =
+        { P.id; op; tier = P.Mf2; sla; deadline_ms = None; prog; x; y; z = [||] }
       in
-      let adds = List.init 16 (fun i -> req ~id:(i + 1) ~op:P.Add ~x:(el i) ~y:(el (i + 1))) in
-      Alcotest.(check int) "scalar group: no scheduler task" 0 (serve adds);
-      let dot id = req ~id ~op:P.Dot ~x:(vec 32) ~y:(vec 32) in
-      Alcotest.(check int) "one vector request: no scheduler task" 0 (serve [ dot 1 ]);
-      Alcotest.(check bool) "two vector requests fan out" true (serve [ dot 1; dot 2 ] > 0))
+      (* a mixed cycle: a fixed add, two fixed 32-element dots and an
+         SLA 40-element sum *)
+      let mixed =
+        [ req ~id:1 ~op:P.Add ~x:(el 1) ~y:(el 2) ();
+          req ~id:2 ~op:P.Dot ~x:(vec 32) ~y:(vec 32) ();
+          req ~id:3 ~op:P.Dot ~x:(vec 32) ~y:(Array.map (Array.map Float.neg) (vec 32)) ();
+          req ~id:4 ~sla:150 ~op:P.Sum ~x:(vec 40) ~y:[||] () ]
+      in
+      let reply_of, tasks, st = serve mixed in
+      Alcotest.(check int) "mixed cycle: no scheduler task" 0 tasks;
+      Alcotest.(check (list (pair int int))) "mixed cycle: one cycle of 4" [ (4, 1) ]
+        st.Serve.Batcher.histogram;
+      List.iter
+        (fun (r : P.request) ->
+          let label = Printf.sprintf "id %d" r.P.id in
+          match reply_of r with
+          | P.Result { result; batch; chosen; bound; _ } -> (
+              Alcotest.(check int) (label ^ ": batch is the cycle's live count") 4 batch;
+              match r.P.sla with
+              | None -> (
+                  Alcotest.(check bool) (label ^ ": no chosen/bound") true
+                    (chosen = None && bound = None);
+                  match Serve.Batcher.eval_one r with
+                  | Ok want -> check_elements label want result
+                  | Error e -> Alcotest.fail e)
+              | Some _ -> (
+                  match (Serve.Batcher.eval_adaptive r, chosen, bound) with
+                  | Ok o, Some c, Some bd ->
+                      check_elements label o.Adaptive.Escalate.result result;
+                      Alcotest.(check string) (label ^ ": chosen") o.Adaptive.Escalate.chosen c;
+                      Alcotest.(check int64) (label ^ ": bound bits")
+                        (bits o.Adaptive.Escalate.bound) (bits bd)
+                  | Error e, _, _ -> Alcotest.fail e
+                  | Ok _, _, _ -> Alcotest.fail (label ^ ": sla reply without chosen/bound")))
+          | _ -> Alcotest.fail (label ^ ": not served"))
+        mixed;
+      (* isolation: an unsupported program fails alone; the request it
+         shares the cycle with is served.  Pushed straight into the
+         queue, so decode cannot refuse it first. *)
+      let good = req ~id:1 ~op:P.Program ~prog:[ "sum" ] ~x:(el 3) ~y:[||] () in
+      let bad = req ~id:2 ~op:P.Program ~prog:[ "nope" ] ~x:(el 4) ~y:[||] () in
+      let reply_of, tasks, st = serve [ good; bad ] in
+      Alcotest.(check int) "isolation: no scheduler task" 0 tasks;
+      (match reply_of good with
+      | P.Result { result; _ } -> (
+          match Serve.Batcher.eval_one good with
+          | Ok want -> check_elements "isolation: the good request" want result
+          | Error e -> Alcotest.fail e)
+      | _ -> Alcotest.fail "isolation: the good request was not served");
+      (match reply_of bad with
+      | P.Failed _ -> ()
+      | _ -> Alcotest.fail "isolation: the bad request did not fail");
+      Alcotest.(check int) "isolation: completed" 1 st.Serve.Batcher.completed;
+      Alcotest.(check int) "isolation: errors" 1 st.Serve.Batcher.errors)
 
 (* One client vanishing with unread replies pending must not take the
    service down: SIGPIPE is ignored, so the failed reply write just
@@ -1089,7 +1132,8 @@ let () =
         [ Alcotest.test_case "server vs scalar, all ops x tiers" `Quick
             test_bitwise_vs_scalar;
           Alcotest.test_case "micro-batches form" `Quick test_batches_form;
-          Alcotest.test_case "small groups evaluate inline" `Quick test_inline_groups ] );
+          Alcotest.test_case "a cycle answers each request by itself" `Quick
+            test_cycle_per_request ] );
       ( "sla",
         [ Alcotest.test_case "escalation end to end" `Quick test_sla_end_to_end ] );
       ( "admission",

@@ -107,7 +107,7 @@ let fresh_sock () =
 let with_fleet ?(shards = 2) ?cache_capacity f =
   let path = fresh_sock () in
   let t =
-    Serve.Shard.start ~addr:(Serve.Server.Unix_path path) ~shards ~sched_workers:1
+    Serve.Shard.start ~addr:(Serve.Server.Unix_path path) ~shards
       ~queue_capacity:256 ~max_batch:1 ~window_us:0. ?cache_capacity ()
   in
   Fun.protect ~finally:(fun () -> Serve.Shard.stop t) (fun () -> f t (Unix.ADDR_UNIX path))
